@@ -3,12 +3,16 @@
 Two interchangeable realizations of the order-mu differintegral d^mu/dt^mu:
 a discrete Grunwald-Letnikov (GL) convolution with binomial weights, and a
 band-limited Oustaloup pole/zero ladder approximating s**mu.  The GL form is
-the time-domain engine used by the plant and observers; the Oustaloup filter
-exists mainly to cross-validate it and for frequency-shaped filtering.
+the time-domain engine used by the plant and observers; its streaming history
+sum is exact up to rounding and costs O(n log^2 n) over n samples beyond
+NEAR_WINDOW samples.  The Oustaloup filter exists mainly to cross-validate it
+and for frequency-shaped filtering.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,12 +36,36 @@ def gl_coefficients(mu: float, count: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
+# lags below this are summed directly at every step, older ones come from
+# the blocked FFT far field of GLOperator
+NEAR_WINDOW = 8192
+
+
+@functools.lru_cache(maxsize=16)
+def _near_weights(order: float, window: int) -> np.ndarray:
+    """w_window .. w_1, read-only and shared by every operator of `order`."""
+    w = gl_coefficients(order, window + 1)[:0:-1].copy()
+    w.flags.writeable = False
+    return w
+
+
 class GLOperator:
     """Streaming GL differintegrator of order `order` at fixed step `step`.
 
-    Keeps the full input history by default; pass `memory_len` to truncate
-    the convolution window to the most recent samples (short-memory
-    principle).  Negative orders integrate.
+    Keeps the full input history by default.  `memory_len` selects the
+    short-memory approximation: weights at lags >= memory_len are dropped,
+    so the operator forgets samples older than that.  Negative orders
+    integrate.
+
+    The history sum is exact up to rounding and costs O(n log^2 n) over n
+    samples (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
+    1985).  Lags 1 .. NEAR_WINDOW-1 are one direct dot product per step, so
+    below NEAR_WINDOW samples `tail_sum` is that plain dot product bit for
+    bit.  Each lag k >= NEAR_WINDOW lies in exactly one octave [P, 2P),
+    P = NEAR_WINDOW * 2**j.  Whenever the history length n is a multiple of
+    P, the block x[n-P:n] is convolved with w[P:2P] by one real FFT of
+    length 2P and added into a far-field accumulator at n .. n+2P-2, all of
+    which is read at step n or later.
     """
 
     def __init__(self, order: float, step: float, memory_len: int | None = None):
@@ -49,20 +77,34 @@ class GLOperator:
         self.step = float(step)
         self.memory_len = memory_len
         self._scale = self.step ** -self.order
+        window = NEAR_WINDOW if memory_len is None else min(NEAR_WINDOW,
+                                                            memory_len)
+        # _wnear[-m:] lines up with the newest m samples of _hist in the sum
+        self._wnear = _near_weights(self.order, window)
+        self._near = window - 1
+        # the far field holds lags >= NEAR_WINDOW, all zero-weighted when
+        # memory_len <= NEAR_WINDOW
+        far = memory_len is None or memory_len > NEAR_WINDOW
+        self._far_from = NEAR_WINDOW if far else math.inf
+        self._hist = np.zeros(0)
+        self._far = np.zeros(0)
         self._size = 0
+        self._flushed = 0
         self._cap = 0
         self._grow(1024)
 
     def _grow(self, capacity: int) -> None:
         hist = np.zeros(capacity)
-        if self._size:
-            hist[: self._size] = self._hist[: self._size]
+        hist[: self._size] = self._hist[: self._size]
         self._hist = hist
-        # one extra weight so a full buffer still reaches w_cap;
-        # _wrev[capacity - k] == w_k, so a contiguous slice of _wrev lines
-        # up with a chronological slice of _hist in the sum
-        self._wrev = gl_coefficients(self.order, capacity + 1)[::-1].copy()
         self._cap = capacity
+        if capacity > self._far_from:
+            # the history stays below capacity, so a flushed block has
+            # P <= capacity/2, ends at n <= capacity - P and writes the
+            # far field up to n + 2P - 2 < 1.5 * capacity
+            far = np.zeros(capacity + capacity // 2)
+            far[: self._far.size] = self._far
+            self._far = far
 
     @property
     def size(self) -> int:
@@ -74,11 +116,6 @@ class GLOperator:
         return float(self._hist[self._size - 1]) if self._size else 0.0
 
     @property
-    def coeffs(self) -> np.ndarray:
-        """Weight table w_0 .. w_{cap-1} currently in use."""
-        return self._wrev[::-1]
-
-    @property
     def history(self) -> np.ndarray:
         """Samples inside the active convolution window (newest last)."""
         window = self._size
@@ -86,25 +123,44 @@ class GLOperator:
             window = min(window, self.memory_len)
         return self._hist[self._size - window : self._size].copy()
 
+    def _flush(self, n: int) -> None:
+        """Add every block that ends at history length `n` to the far field."""
+        P = NEAR_WINDOW
+        limit = self.memory_len
+        while n % P == 0 and (limit is None or P < limit):
+            nfft = 2 * P
+            seg = gl_coefficients(self.order, nfft)[P:]
+            if limit is not None:
+                seg[limit - P :] = 0.0
+            spec = np.fft.rfft(seg, nfft)
+            del seg  # frees the 2P weights before the next transform
+            spec *= np.fft.rfft(self._hist[n - P : n], nfft)
+            self._far[n : n + nfft - 1] += np.fft.irfft(spec, nfft)[:-1]
+            P *= 2
+
     def tail_sum(self) -> float:
         """sum_{k>=1} w_k x_{n-k} for the upcoming sample index n.
 
         This is the history part of the GL sum, exposed separately so that
         implicit update rules can solve for the newest sample.
         """
-        m = self._size
-        if self.memory_len is not None:
-            m = min(m, self.memory_len - 1)
+        n = self._size
+        m = n if n < self._near else self._near
         if m == 0:
             return 0.0
-        return float(np.dot(self._wrev[self._cap - m : self._cap],
-                            self._hist[self._size - m : self._size]))
+        tail = float(self._wnear[-m:].dot(self._hist[n - m : n]))
+        if n < self._far_from:
+            return tail
+        while self._flushed + NEAR_WINDOW <= n:
+            self._flushed += NEAR_WINDOW
+            self._flush(self._flushed)
+        return tail + self._far.item(n)
 
     def push(self, sample: float) -> None:
-        if self._size == self._cap:
-            self._grow(2 * self._cap)
         self._hist[self._size] = sample
         self._size += 1
+        if self._size == self._cap:
+            self._grow(2 * self._cap)
 
     def apply(self, sample: float) -> float:
         """Push `sample` and return the differintegral at the new sample."""
@@ -114,6 +170,8 @@ class GLOperator:
 
     def reset(self) -> None:
         self._size = 0
+        self._flushed = 0
+        self._far[:] = 0.0
 
 
 def gl_differintegral(x, mu: float, step: float,
@@ -122,7 +180,9 @@ def gl_differintegral(x, mu: float, step: float,
 
     Zero history is assumed before the first sample and a value is returned
     at every sample.  Numerically equivalent to streaming GLOperator.apply
-    over `x`, but computed as a single FFT convolution.
+    over `x`, but computed as a single FFT convolution.  `memory_len` is the
+    same short-memory approximation as GLOperator's: weights at lags
+    >= memory_len are dropped.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")

@@ -17,6 +17,7 @@ from fracadrc import (
     gl_differintegral,
     oustaloup_design,
 )
+from fracadrc.fracops import NEAR_WINDOW
 
 orders = st.floats(min_value=0.05, max_value=0.95)
 
@@ -128,6 +129,70 @@ def test_operator_linearity(mu, a, b):
     lhs = gl_differintegral(a * x + b * y, mu, 0.05)
     rhs = a * gl_differintegral(x, mu, 0.05) + b * gl_differintegral(y, mu, 0.05)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Near window plus blocked-FFT far field
+# ---------------------------------------------------------------------------
+
+
+def _stream(op, x):
+    return np.array([op.apply(v) for v in x])
+
+
+def _max_rel_err(stream, batch):
+    return np.max(np.abs(stream - batch)) / np.max(np.abs(batch))
+
+
+def test_tail_sum_is_plain_dot_below_near_window():
+    # Below NEAR_WINDOW samples the history sum is the direct reversed-
+    # weight dot product, bit for bit: short runs keep their exact bytes.
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=NEAR_WINDOW - 1)
+    w = gl_coefficients(0.8, NEAR_WINDOW)
+    op = GLOperator(order=0.8, step=1.0 / 8000.0)
+    for n in range(NEAR_WINDOW):
+        if n % 97 == 0 or n > NEAR_WINDOW - 4:
+            plain = float(np.dot(w[n:0:-1], x[:n])) if n else 0.0
+            assert op.tail_sum() == plain
+        if n < x.size:
+            op.push(float(x[n]))
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.3, 0.8, 1.0])
+def test_long_streaming_matches_batch(mu):
+    # 40,000 samples cross the near window, flush the far-field levels
+    # P = 8192, 16384 and 32768, and grow the buffers six times.
+    assert 40_000 > 4 * NEAR_WINDOW
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=40_000)
+    stream = _stream(GLOperator(order=mu, step=1e-3), x)
+    batch = gl_differintegral(x, mu, 1e-3)
+    assert _max_rel_err(stream, batch) < 1e-12
+
+
+@pytest.mark.parametrize("lmem", [100, NEAR_WINDOW - 1, NEAR_WINDOW,
+                                  NEAR_WINDOW + 1, 20_000])
+def test_long_truncated_memory_matches_batch(lmem):
+    # memory_len below, at and above the near window; 20,000 cuts the
+    # P = 16384 level in the middle and drops P = 32768 entirely.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=36_000)
+    stream = _stream(GLOperator(order=0.6, step=1e-3, memory_len=lmem), x)
+    batch = gl_differintegral(x, 0.6, 1e-3, memory_len=lmem)
+    assert _max_rel_err(stream, batch) < 1e-12
+
+
+def test_reset_mid_run_equals_fresh_operator():
+    rng = np.random.default_rng(13)
+    first = rng.normal(size=3 * NEAR_WINDOW + 5)
+    again = rng.normal(size=2 * NEAR_WINDOW + 7)
+    op = GLOperator(order=0.7, step=1e-3)
+    _stream(op, first)
+    op.reset()
+    reused = _stream(op, again)
+    fresh = _stream(GLOperator(order=0.7, step=1e-3), again)
+    assert reused.tobytes() == fresh.tobytes()
 
 
 def test_operator_reset_and_history():
