@@ -15,14 +15,13 @@ from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, ExperimentSpec,
 from .fracops import (GLOperator, OustaloupFilter, frac_pow,
                       gl_coefficients, gl_differintegral, oustaloup_design)
 from .freqdom import (FreqCurve, bode, delta, g_ifio, g_io, ieso_transfer,
-                      ifeso_transfer, ifio_evaluator, io_evaluator, log_grid,
-                      mse_ifio, mse_io)
+                      ifeso_transfer, log_grid, mse_ifio, mse_io)
 from .observers import (EsoVariant, Feso, Ieso, Ifeso, ObserverGains,
                         bandwidth_gains, make_observer)
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
-                        critical_gain, ifeso_gain_check, poly_roots,
-                        rationalize_order, sector_test)
+                        critical_gain, poly_roots, rationalize_order,
+                        sector_test)
 
 __version__ = "0.1.0"
 
@@ -34,12 +33,11 @@ __all__ = [
     "GLOperator", "OustaloupFilter", "frac_pow", "gl_coefficients",
     "gl_differintegral", "oustaloup_design",
     "FreqCurve", "bode", "delta", "g_ifio", "g_io", "ieso_transfer",
-    "ifeso_transfer", "ifio_evaluator", "io_evaluator", "log_grid",
-    "mse_ifio", "mse_io",
+    "ifeso_transfer", "log_grid", "mse_ifio", "mse_io",
     "EsoVariant", "Feso", "Ieso", "Ifeso", "ObserverGains",
     "bandwidth_gains", "make_observer",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
     "CharPoly", "StabilityReport", "build_char_poly", "critical_gain",
-    "ifeso_gain_check", "poly_roots", "rationalize_order", "sector_test",
+    "poly_roots", "rationalize_order", "sector_test",
     "__version__",
 ]

@@ -1,0 +1,36 @@
+"""Artifact file formats shared by every writer in the package.
+
+CSV tables carry one header line and one row per sample, each value as the
+round-trip repr of a double; JSON documents are indented with sorted keys
+and end in a newline.  Both are deterministic, so a re-run with the same
+inputs rewrites the same bytes.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+
+# rows converted to Python floats at a time: bounds the extra memory of a
+# long trajectory while keeping a 1 s run at 8 kHz in one block
+CSV_BLOCK_ROWS = 8192
+
+
+def write_csv(path, header, columns) -> None:
+    """Write equal-length float columns under the names in `header`."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, columns[0].size, CSV_BLOCK_ROWS):
+            rows = zip(*(c[start : start + CSV_BLOCK_ROWS].tolist()
+                         for c in columns))
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_json(path, document) -> None:
+    """Write `document` as indented JSON with sorted keys."""
+    with open(path, "w") as fh:
+        json.dump(document, fh, indent=2, sort_keys=True)
+        fh.write("\n")

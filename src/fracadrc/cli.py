@@ -10,19 +10,19 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       loop_gain_variants, run_closed_loop)
-from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, ExperimentSpec,
-                          UnstableConfigError, run_experiment, step_metrics,
-                          summarize)
-from .freqdom import (bode, ifio_evaluator, io_evaluator, log_grid, mse_ifio,
-                      mse_io, write_bode_csv, write_mse_csv)
+from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
+                          ExperimentSpec, UnstableConfigError, bode_files,
+                          make_loop, mse_file, run_experiment, step_metrics,
+                          summarize, trajectory_file, write_manifest)
+from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
-from .stability import build_char_poly, rationalize_order, sector_test
+from .stability import loop_sector_test
 
 PARAM_KEYS = ("a_o", "b_o", "b", "mu", "K", "omega_o", "Ts", "horizon",
               "variant", "memory_len")
@@ -157,26 +157,10 @@ def load_config_file(path) -> dict:
     return out
 
 
-def _validate(params: dict) -> dict:
-    checks = {
-        "mu": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        "K": (lambda v: v > 0.0, "must be positive"),
-        "omega_o": (lambda v: v > 0.0, "must be positive"),
-        "Ts": (lambda v: v > 0.0, "must be positive"),
-        "horizon": (lambda v: v > 0.0, "must be positive"),
-        "b": (lambda v: v != 0.0, "must be nonzero"),
-        "b_o": (lambda v: v != 0.0, "must be nonzero"),
-    }
-    for key, (ok, why) in checks.items():
-        if key in params and not ok(params[key]):
-            raise CliError(f"invalid value for '{key}': {params[key]} ({why})")
-    if params.get("memory_len") is not None and params["memory_len"] < 1:
-        raise CliError(f"invalid value for 'memory_len': "
-                       f"{params['memory_len']} (must be >= 1)")
-    return params
-
-
-def resolve_params(args) -> dict:
+def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
+    """Defaults, then the --config file, then the flags.  Returns the
+    parameters with the config and plant built from them; their
+    constructors are the only check on the values."""
     params = dict(DEFAULT_PARAMS)
     params["variant"] = "ifadrc"
     params["memory_len"] = None
@@ -186,58 +170,31 @@ def resolve_params(args) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
-    return _validate(params)
-
-
-def _cfg_and_plant(params: dict) -> tuple[AdrcConfig, FracPlant]:
-    cfg = AdrcConfig(variant=AdrcVariant(params["variant"]), K=params["K"],
-                     omega_o=params["omega_o"], b=params["b"],
-                     Ts=params["Ts"], horizon=params["horizon"],
-                     memory_len=params["memory_len"])
-    plant = FracPlant(params["a_o"], params["b_o"], params["mu"],
-                      params["Ts"], params["memory_len"])
-    return cfg, plant
-
-
-def _write_manifest(outdir: Path, command: str, params: dict,
-                    files: list[dict]) -> None:
-    manifest = {"command": command, "directory": str(outdir),
-                "parameters": params, "files": files}
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return (params, *make_loop(params))
 
 
 def _grid_from(args, default_min: float, default_max: float):
     lo = args.omega_min if args.omega_min is not None else default_min
     hi = args.omega_max if args.omega_max is not None else default_max
-    try:
-        return log_grid(lo, hi, args.points_per_decade)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return log_grid(lo, hi, args.points_per_decade)
 
 
-def cmd_simulate(args, params: dict) -> int:
-    cfg, plant = _cfg_and_plant(params)
-    if args.dist_kind == "zero":
-        dist = DisturbanceSignal.zero()
-    elif args.dist_kind == "step":
-        dist = DisturbanceSignal.step(args.dist_amplitude, args.dist_onset)
-    else:
-        dist = DisturbanceSignal.sinusoid(args.dist_amplitude,
-                                          args.dist_frequency)
+def cmd_simulate(args, params: dict, cfg: AdrcConfig,
+                 plant: FracPlant) -> int:
+    # each kind reads only its own fields
+    dist = DisturbanceSignal(args.dist_kind, args.dist_amplitude,
+                             args.dist_frequency, args.dist_onset)
     traj = run_closed_loop(cfg, plant, v_d=args.setpoint, d=dist)
     outdir = Path(args.output_dir) / "simulate"
     outdir.mkdir(parents=True, exist_ok=True)
-    traj.to_csv(outdir / "trajectory.csv")
     meta = {**params, "setpoint": args.setpoint,
             "dist_kind": args.dist_kind,
             "dist_amplitude": args.dist_amplitude,
             "dist_frequency": args.dist_frequency,
             "dist_onset": args.dist_onset}
-    _write_manifest(outdir, "simulate", meta,
-                    [{"path": "trajectory.csv", "kind": "trajectory",
-                      "parameters": meta}])
+    write_manifest(outdir, meta,
+                   [trajectory_file(outdir, "trajectory.csv", traj, meta)],
+                   command="simulate")
     m = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
     print(f"simulate: {params['variant']} settle_2pct={m['settle_2pct_s']:.4g}s "
           f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g}")
@@ -255,95 +212,68 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     return values
 
 
-def cmd_sweep(args, params: dict) -> int:
+def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     outdir = Path(args.output_dir) / "sweep"
     outdir.mkdir(parents=True, exist_ok=True)
-    files = []
     if args.scales:
         scales = _parse_float_list(args.scales, "scales")
-        if any(s <= 0 for s in scales):
-            raise CliError(f"invalid value for 'scales': {args.scales!r} "
-                           f"(must be positive)")
-        cfg, plant = _cfg_and_plant(params)
-        for scale, traj in zip(scales,
-                               loop_gain_variants(cfg, plant, scales)):
-            name = f"step_{params['variant']}_scale_{scale:g}.csv"
-            traj.to_csv(outdir / name)
-            files.append({"path": name, "kind": "trajectory",
-                          "parameters": {**params, "gain_scale": scale}})
+        trajs = loop_gain_variants(cfg, plant, scales)
+        files = [trajectory_file(
+                     outdir, f"step_{params['variant']}_scale_{scale:g}.csv",
+                     traj, {**params, "gain_scale": scale})
+                 for scale, traj in zip(scales, trajs)]
         meta = {**params, "scales": scales}
     elif args.param and args.values:
         values = _parse_float_list(args.values, "values")
+        files = []
         for value in values:
-            point = dict(params)
-            point[args.param] = value
-            _validate(point)
-            cfg, plant = _cfg_and_plant(point)
-            traj = run_closed_loop(cfg, plant)
-            name = f"step_{args.param}_{value:g}.csv"
-            traj.to_csv(outdir / name)
-            files.append({"path": name, "kind": "trajectory",
-                          "parameters": point})
+            point = {**params, args.param: value}
+            files.append(trajectory_file(
+                outdir, f"step_{args.param}_{value:g}.csv",
+                run_closed_loop(*make_loop(point)), point))
         meta = {**params, "param": args.param, "values": values}
     else:
         raise CliError("sweep needs --scales or both --param and --values")
-    _write_manifest(outdir, "sweep", meta, files)
+    write_manifest(outdir, meta, files, command="sweep")
     print(f"wrote {len(files)} trajectories under {outdir}")
     return 0
 
 
-def cmd_bode(args, params: dict) -> int:
-    grid = _grid_from(args, 0.1, 1e5)
+def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
+    grid = _grid_from(args, *BODE_GRID[:2])
     outdir = Path(args.output_dir) / "bode"
     outdir.mkdir(parents=True, exist_ok=True)
-    which = {"io": ("io",), "ifio": ("ifio",),
-             "both": ("io", "ifio")}[args.which]
-    factories = {"io": io_evaluator, "ifio": ifio_evaluator}
-    files = []
-    for tag in which:
-        G = factories[tag](params["a_o"], params["b_o"], params["b"],
-                           params["mu"], params["omega_o"])
-        mag, phase = bode(G, grid)
-        name = f"bode_g_{tag}.csv"
-        write_bode_csv(outdir / name, grid, mag.values, phase.values)
-        files.append({"path": name, "kind": "bode",
-                      "parameters": {**params, "transfer": f"g_{tag}"}})
-    _write_manifest(outdir, "bode", {**params, "which": args.which,
-                                     "omega_min": float(grid[0]),
-                                     "omega_max": float(grid[-1]),
-                                     "points_per_decade":
-                                         args.points_per_decade}, files)
+    tags = ("io", "ifio") if args.which == "both" else (args.which,)
+    files = bode_files(outdir, params, grid, tags)
+    write_manifest(outdir, {**params, "which": args.which,
+                            "omega_min": float(grid[0]),
+                            "omega_max": float(grid[-1]),
+                            "points_per_decade": args.points_per_decade},
+                   files, command="bode")
     print(f"wrote {len(files)} Bode tables under {outdir}")
     return 0
 
 
-def cmd_mse(args, params: dict) -> int:
+def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     if params["b"] != params["b_o"]:
         raise CliError("invalid value for 'b': closed-form estimation-error "
                        "curves require matched gain b = b_o")
-    grid = _grid_from(args, 1.0, 1e5)
+    grid = _grid_from(args, *MSE_GRID[:2])
     outdir = Path(args.output_dir) / "mse"
     outdir.mkdir(parents=True, exist_ok=True)
-    write_mse_csv(outdir / "mse.csv", grid,
-                  mse_io(grid, params["a_o"], params["mu"],
-                         params["omega_o"]),
-                  mse_ifio(grid, params["a_o"], params["mu"],
-                           params["omega_o"]))
-    _write_manifest(outdir, "mse", {**params, "omega_min": float(grid[0]),
-                                    "omega_max": float(grid[-1]),
-                                    "points_per_decade":
-                                        args.points_per_decade},
-                    [{"path": "mse.csv", "kind": "mse", "parameters": params}])
+    write_manifest(outdir, {**params, "omega_min": float(grid[0]),
+                            "omega_max": float(grid[-1]),
+                            "points_per_decade": args.points_per_decade},
+                   [mse_file(outdir, "mse.csv", grid, params)],
+                   command="mse")
     print(f"wrote {outdir / 'mse.csv'}")
     return 0
 
 
-def cmd_stability(args, params: dict) -> int:
-    p, q_den = rationalize_order(params["mu"])
-    poly = build_char_poly(params["b"], params["b_o"], params["a_o"],
-                           params["K"], 2.0 * params["omega_o"],
-                           params["omega_o"] ** 2, p, q_den)
-    report = sector_test(poly)
+def cmd_stability(args, params: dict, cfg: AdrcConfig,
+                  plant: FracPlant) -> int:
+    _, report = loop_sector_test(params["b"], params["b_o"], params["a_o"],
+                                 params["K"], params["omega_o"], params["mu"])
     verdict = "stable" if report.stable else "unstable"
     if report.marginal:
         verdict += " (marginal)"
@@ -353,25 +283,20 @@ def cmd_stability(args, params: dict) -> int:
           f"mu={params['mu']:g}, a_o={params['a_o']:g}, "
           f"b={params['b']:g}, b_o={params['b_o']:g})")
     if args.report:
-        report.write(args.report)
+        write_json(args.report, report.to_dict())
         print(f"wrote {args.report}")
     return 0 if report.stable else 2
 
 
-def cmd_reproduce(args, params: dict) -> int:
+def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
+                  plant: FracPlant) -> int:
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
-    for exp_id in ids:
-        if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
-            raise CliError(f"invalid value for 'experiment': {exp_id!r}")
     manifests = []
     for exp_id in ids:
-        overrides = {}
-        if exp_id == "custom":
-            overrides = {k: params[k] for k in DEFAULT_PARAMS}
-            overrides["variant"] = params["variant"]
-            if params.get("memory_len") is not None:
-                overrides["memory_len"] = params["memory_len"]
+        # custom runs the resolved parameters; memory_len only when set
+        overrides = {k: v for k, v in params.items() if v is not None} \
+            if exp_id == "custom" else {}
         spec = ExperimentSpec(id=exp_id, overrides=overrides,
                               output_dir=args.output_dir)
         manifest = run_experiment(spec)
@@ -380,14 +305,12 @@ def cmd_reproduce(args, params: dict) -> int:
         print(f"{exp_id}: {len(manifest['files'])} artifacts under "
               f"{manifest['directory']}")
     if args.experiment == "all":
-        index = {"command": "reproduce all",
-                 "experiments": [{"experiment": m["experiment"],
-                                  "manifest": str(Path(m["directory"]) /
-                                                  "manifest.json")}
-                                 for m in manifests]}
-        with open(Path(args.output_dir) / "manifest.json", "w") as fh:
-            json.dump(index, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(Path(args.output_dir) / "manifest.json",
+                   {"command": "reproduce all",
+                    "experiments": [{"experiment": m["experiment"],
+                                     "manifest": str(Path(m["directory"]) /
+                                                     "manifest.json")}
+                                    for m in manifests]})
     return 0
 
 
@@ -397,12 +320,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        params = resolve_params(args)
-        return args.func(args, params)
-    except CliError as exc:
-        print(f"fracadrc: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+        return args.func(args, *resolve_params(args))
+    except ValueError as exc:  # CliError is a ValueError
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:

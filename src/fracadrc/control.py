@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_csv
 from .observers import EsoVariant, bandwidth_gains, make_observer
 from .plant import DisturbanceSignal, FracPlant
 
@@ -60,16 +61,13 @@ class AdrcConfig:
     def __post_init__(self):
         if isinstance(self.variant, str):
             self.variant = AdrcVariant(self.variant.lower())
-        if self.K <= 0.0:
-            raise ValueError(f"K must be positive, got {self.K}")
-        if self.omega_o <= 0.0:
-            raise ValueError(f"omega_o must be positive, got {self.omega_o}")
-        if self.b == 0.0:
-            raise ValueError("b must be nonzero")
-        if self.Ts <= 0.0:
-            raise ValueError(f"Ts must be positive, got {self.Ts}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        for name in ("K", "omega_o", "Ts", "horizon"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be positive and finite, "
+                                 f"got {value}")
+        if not (math.isfinite(self.b) and self.b != 0.0):
+            raise ValueError(f"b must be nonzero and finite, got {self.b}")
 
 
 @dataclass
@@ -98,11 +96,8 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write all columns in full double precision (round-trip reprs)."""
-        cols = [getattr(self, name) for name in TRAJECTORY_COLUMNS]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRAJECTORY_COLUMNS) + "\n")
-            for row in zip(*cols):
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, TRAJECTORY_COLUMNS,
+                  [getattr(self, name) for name in TRAJECTORY_COLUMNS])
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":

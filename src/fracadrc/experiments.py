@@ -5,23 +5,26 @@ parameter families, Bode comparisons of the compensated objects, the
 stability report of the reference configuration, and the step-response /
 loop-gain-robustness simulation batteries.  Artifacts land under
 <output_dir>/<experiment_id>/ as CSV plus a JSON manifest; `summarize`
-turns a manifest into a metrics table.
+turns a manifest into a metrics table.  The CLI builds its loops and
+writes its artifacts and manifests with the same helpers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, Trajectory, loop_gain_variants,
                       run_closed_loop)
-from .freqdom import (ifio_evaluator, io_evaluator, bode, log_grid, mse_ifio,
-                      mse_io, write_bode_csv, write_mse_csv)
-from .plant import DisturbanceSignal, FracPlant
-from .stability import build_char_poly, rationalize_order, sector_test
+from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
+                      write_bode_csv, write_mse_csv)
+from .plant import FracPlant
+from .stability import StabilityReport, loop_sector_test
 
 # Reference bench parameters shared by the simulation experiments and the
 # CLI defaults: plant 1/(s**0.8 + 10) at 8 kHz, K = 150, omega_o = 400.
@@ -40,6 +43,8 @@ DEFAULT_PARAMS = {
 # integer/fractional contrast is pronounced.
 MSE_BASE = {"a_o": 10.0, "omega_o": 1600.0, "mu": 0.6}
 MSE_GRID = (1.0, 1e5, 60)          # omega span (rad/s) and points/decade
+MSE_GRID_PARAMS = {"omega_min": MSE_GRID[0], "omega_max": MSE_GRID[1],
+                   "points_per_decade": MSE_GRID[2]}
 MSE_FAMILIES = {
     "fig5": ("mu", (0.4, 0.6, 0.8)),
     "fig6": ("a_o", (5.0, 10.0, 20.0)),
@@ -47,6 +52,7 @@ MSE_FAMILIES = {
 }
 BODE_MUS = {"fig8": 0.6, "fig9": 0.9}
 BODE_GRID = (0.1, 1e5, 60)
+BODE_TRANSFERS = {"io": g_io, "ifio": g_ifio}
 LOOP_GAIN_SCALES = (0.5, 1.0, 2.0)
 LOOP_GAIN_VARIANTS = {
     "fig12": AdrcVariant.IADRC,
@@ -85,33 +91,82 @@ def _params(overrides: dict) -> dict:
     return params
 
 
-def _make_cfg(params: dict, variant: AdrcVariant) -> AdrcConfig:
-    return AdrcConfig(variant=variant, K=params["K"],
-                      omega_o=params["omega_o"], b=params["b"],
-                      Ts=params["Ts"], horizon=params["horizon"],
-                      memory_len=params.get("memory_len"))
+def make_loop(params: dict,
+              variant: AdrcVariant | str | None = None
+              ) -> tuple[AdrcConfig, FracPlant]:
+    """Controller config and fresh plant for one parameter set.
+
+    `params` holds the DEFAULT_PARAMS keys and may hold `variant` and
+    `memory_len`; an explicit `variant` takes precedence.  The AdrcConfig
+    and FracPlant constructors are the only check on the values.
+    """
+    if variant is None:
+        variant = params.get("variant", AdrcVariant.IFADRC)
+    memory_len = params.get("memory_len")
+    cfg = AdrcConfig(variant=variant, K=params["K"],
+                     omega_o=params["omega_o"], b=params["b"],
+                     Ts=params["Ts"], horizon=params["horizon"],
+                     memory_len=memory_len)
+    plant = FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"],
+                      memory_len)
+    return cfg, plant
 
 
-def _make_plant(params: dict) -> FracPlant:
-    return FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"],
-                     params.get("memory_len"))
+def write_manifest(outdir: Path, parameters: dict, files: list[dict],
+                   **label) -> dict:
+    """Write and return <outdir>/manifest.json: the `label` entries
+    (experiment= or command=), the directory, the parameters and the
+    artifact entries."""
+    manifest = {**label, "directory": str(outdir), "parameters": parameters,
+                "files": files}
+    write_json(outdir / "manifest.json", manifest)
+    return manifest
 
 
-def _mse_file(outdir: Path, name: str, a_o: float, mu: float,
-              omega_o: float) -> dict:
-    grid = log_grid(*MSE_GRID)
-    write_mse_csv(outdir / name, grid, mse_io(grid, a_o, mu, omega_o),
-                  mse_ifio(grid, a_o, mu, omega_o))
-    return {"path": name, "kind": "mse",
-            "parameters": {"a_o": a_o, "mu": mu, "omega_o": omega_o,
-                           "omega_min": MSE_GRID[0], "omega_max": MSE_GRID[1],
-                           "points_per_decade": MSE_GRID[2]}}
-
-
-def _trajectory_file(outdir: Path, name: str, traj: Trajectory,
-                     parameters: dict) -> dict:
+def trajectory_file(outdir: Path, name: str, traj: Trajectory,
+                    parameters: dict) -> dict:
+    """Write `traj` as <outdir>/<name>; returns its manifest entry."""
     traj.to_csv(outdir / name)
     return {"path": name, "kind": "trajectory", "parameters": parameters}
+
+
+def mse_file(outdir: Path, name: str, grid: np.ndarray,
+             parameters: dict) -> dict:
+    """Write both closed-form estimation-error curves at the a_o, mu and
+    omega_o of `parameters` over `grid` as <outdir>/<name>; returns its
+    manifest entry."""
+    args = (parameters["a_o"], parameters["mu"], parameters["omega_o"])
+    write_mse_csv(outdir / name, grid, mse_io(grid, *args),
+                  mse_ifio(grid, *args))
+    return {"path": name, "kind": "mse", "parameters": parameters}
+
+
+def bode_files(outdir: Path, params: dict, grid: np.ndarray,
+               tags=tuple(BODE_TRANSFERS)) -> list[dict]:
+    """Write bode_g_<tag>.csv for each compensated object in `tags`;
+    returns their manifest entries."""
+    files = []
+    for tag in tags:
+        G = partial(BODE_TRANSFERS[tag], params["a_o"], params["b_o"],
+                    params["b"], params["mu"], params["omega_o"])
+        mag, phase = bode(G, grid)
+        name = f"bode_g_{tag}.csv"
+        write_bode_csv(outdir / name, grid, mag.values, phase.values)
+        files.append({"path": name, "kind": "bode",
+                      "parameters": {**params, "transfer": f"g_{tag}"}})
+    return files
+
+
+def _stability_file(outdir: Path,
+                    params: dict) -> tuple[StabilityReport, dict]:
+    poly, report = loop_sector_test(params["b"], params["b_o"],
+                                    params["a_o"], params["K"],
+                                    params["omega_o"], params["mu"])
+    write_json(outdir / "stability_report.json", report.to_dict())
+    return report, {"path": "stability_report.json",
+                    "kind": "stability_report",
+                    "parameters": {**params, "p": poly.p,
+                                   "q_den": poly.q_den}}
 
 
 def run_experiment(spec: ExperimentSpec) -> dict:
@@ -121,60 +176,37 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     outdir = Path(spec.output_dir) / spec.id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
-    manifest_params: dict = {}
 
     if spec.id == "fig4":
         base = dict(MSE_BASE)
         base.update({k: spec.overrides[k] for k in base if k in spec.overrides})
-        files.append(_mse_file(outdir, "mse.csv", base["a_o"], base["mu"],
-                               base["omega_o"]))
+        files.append(mse_file(outdir, "mse.csv", log_grid(*MSE_GRID),
+                              {**base, **MSE_GRID_PARAMS}))
         manifest_params = base
 
     elif spec.id in MSE_FAMILIES:
         key, values = MSE_FAMILIES[spec.id]
-        base = dict(MSE_BASE)
+        grid = log_grid(*MSE_GRID)
         for v in values:
-            varied = dict(base)
-            varied[key] = v
-            files.append(_mse_file(outdir, f"mse_{key}_{v:g}.csv",
-                                   varied["a_o"], varied["mu"],
-                                   varied["omega_o"]))
-        manifest_params = {**base, "family": key, "values": list(values)}
+            files.append(mse_file(outdir, f"mse_{key}_{v:g}.csv", grid,
+                                  {**MSE_BASE, key: v, **MSE_GRID_PARAMS}))
+        manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
 
     elif spec.id in BODE_MUS:
-        params = dict(MSE_BASE)
-        params["mu"] = BODE_MUS[spec.id]
-        params["b"] = params["b_o"] = 1.0
-        grid = log_grid(*BODE_GRID)
-        for tag, factory in (("io", io_evaluator), ("ifio", ifio_evaluator)):
-            G = factory(params["a_o"], params["b_o"], params["b"],
-                        params["mu"], params["omega_o"])
-            mag, phase = bode(G, grid)
-            name = f"bode_g_{tag}.csv"
-            write_bode_csv(outdir / name, grid, mag.values, phase.values)
-            files.append({"path": name, "kind": "bode",
-                          "parameters": {**params, "transfer": f"g_{tag}"}})
+        params = {**MSE_BASE, "mu": BODE_MUS[spec.id], "b": 1.0, "b_o": 1.0}
+        files = bode_files(outdir, params, log_grid(*BODE_GRID))
         manifest_params = params
 
     elif spec.id == "fig10":
         params = _params(spec.overrides)
-        p, q_den = rationalize_order(params["mu"])
-        poly = build_char_poly(params["b"], params["b_o"], params["a_o"],
-                               params["K"], 2.0 * params["omega_o"],
-                               params["omega_o"] ** 2, p, q_den)
-        report = sector_test(poly)
-        report.write(outdir / "stability_report.json")
-        files.append({"path": "stability_report.json",
-                      "kind": "stability_report",
-                      "parameters": {**params, "p": p, "q_den": q_den}})
+        files.append(_stability_file(outdir, params)[1])
         manifest_params = params
 
     elif spec.id == "fig11":
         params = _params(spec.overrides)
         for variant in AdrcVariant:
-            cfg = _make_cfg(params, variant)
-            traj = run_closed_loop(cfg, _make_plant(params))
-            files.append(_trajectory_file(
+            traj = run_closed_loop(*make_loop(params, variant))
+            files.append(trajectory_file(
                 outdir, f"step_{variant.value}.csv", traj,
                 {**params, "variant": variant.value}))
         manifest_params = params
@@ -182,11 +214,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     elif spec.id in LOOP_GAIN_VARIANTS:
         params = _params(spec.overrides)
         variant = LOOP_GAIN_VARIANTS[spec.id]
-        cfg = _make_cfg(params, variant)
-        trajs = loop_gain_variants(cfg, _make_plant(params),
+        trajs = loop_gain_variants(*make_loop(params, variant),
                                    LOOP_GAIN_SCALES)
         for scale, traj in zip(LOOP_GAIN_SCALES, trajs):
-            files.append(_trajectory_file(
+            files.append(trajectory_file(
                 outdir, f"step_{variant.value}_scale_{scale:g}.csv", traj,
                 {**params, "variant": variant.value, "gain_scale": scale}))
         manifest_params = {**params, "variant": variant.value,
@@ -194,39 +225,18 @@ def run_experiment(spec: ExperimentSpec) -> dict:
 
     else:  # custom
         params = _params(spec.overrides)
-        variant = AdrcVariant(str(spec.overrides.get("variant",
-                                                     "ifadrc")).lower())
-        p, q_den = rationalize_order(params["mu"])
-        poly = build_char_poly(params["b"], params["b_o"], params["a_o"],
-                               params["K"], 2.0 * params["omega_o"],
-                               params["omega_o"] ** 2, p, q_den)
-        report = sector_test(poly)
-        report.write(outdir / "stability_report.json")
-        files.append({"path": "stability_report.json",
-                      "kind": "stability_report",
-                      "parameters": {**params, "p": p, "q_den": q_den}})
+        cfg, plant = make_loop(params)
+        manifest_params = {**params, "variant": cfg.variant.value}
+        report, entry = _stability_file(outdir, params)
+        files.append(entry)
         if not report.stable:
-            _write_manifest(outdir, spec.id, {**params,
-                                              "variant": variant.value},
-                            files)
+            write_manifest(outdir, manifest_params, files, experiment=spec.id)
             raise UnstableConfigError(report)
-        cfg = _make_cfg(params, variant)
-        traj = run_closed_loop(cfg, _make_plant(params))
-        files.append(_trajectory_file(outdir, "trajectory.csv", traj,
-                                      {**params, "variant": variant.value}))
-        manifest_params = {**params, "variant": variant.value}
+        files.append(trajectory_file(outdir, "trajectory.csv",
+                                     run_closed_loop(cfg, plant),
+                                     manifest_params))
 
-    return _write_manifest(outdir, spec.id, manifest_params, files)
-
-
-def _write_manifest(outdir: Path, exp_id: str, parameters: dict,
-                    files: list[dict]) -> dict:
-    manifest = {"experiment": exp_id, "directory": str(outdir),
-                "parameters": parameters, "files": files}
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
+    return write_manifest(outdir, manifest_params, files, experiment=spec.id)
 
 
 def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,

@@ -218,8 +218,8 @@ class OustaloupFilter:
     A ladder of 2*n_cells + 1 real zero/pole pairs spread log-evenly over
     [band_low, band_high] rad/s.  `zeros` and `poles` hold the actual
     (negative real) root locations; `freq_response` evaluates the continuous
-    filter, while `filter_sample`/`filter_signal` run the bilinear
-    discretization attached via `attach_discretization`.
+    filter, while `filter_signal` runs the bilinear discretization attached
+    via `attach_discretization`.
     """
 
     order: float
@@ -231,7 +231,6 @@ class OustaloupFilter:
     gain: float
     step: float | None = None
     _sos: np.ndarray | None = field(default=None, repr=False)
-    _state: np.ndarray | None = field(default=None, repr=False)
 
     def freq_response(self, s):
         """Continuous response H(s); accepts a complex scalar or array."""
@@ -244,43 +243,21 @@ class OustaloupFilter:
         return out
 
     def attach_discretization(self, step: float) -> None:
-        """Bilinear-map the ladder to sample time `step` and reset state."""
+        """Bilinear-map the ladder to sample time `step`."""
         if step <= 0.0:
             raise ValueError(f"step must be positive, got {step}")
         zd, pd, kd = _signal.bilinear_zpk(self.zeros, self.poles, self.gain,
                                           fs=1.0 / step)
         self._sos = _signal.zpk2sos(zd, pd, kd)
-        self._state = np.zeros((self._sos.shape[0], 2))
         self.step = step
 
-    def reset(self) -> None:
-        if self._state is not None:
-            self._state[:] = 0.0
-
-    def _require_sos(self) -> np.ndarray:
-        if self._sos is None:
+    def filter_signal(self, x) -> np.ndarray:
+        """Filter a whole signal from zero initial state."""
+        sos = self._sos
+        if sos is None:
             raise RuntimeError("filter not discretized; call "
                                "attach_discretization or pass step= to "
                                "oustaloup_design")
-        return self._sos
-
-    def filter_sample(self, x: float) -> float:
-        """Advance the discretized filter by one input sample (stateful)."""
-        sos = self._require_sos()
-        y = float(x)
-        for i in range(sos.shape[0]):
-            b0, b1, b2, _, a1, a2 = sos[i]
-            z0, z1 = self._state[i]
-            out = b0 * y + z0
-            self._state[i, 0] = b1 * y - a1 * out + z1
-            self._state[i, 1] = b2 * y - a2 * out
-            y = out
-        return y
-
-    def filter_signal(self, x) -> np.ndarray:
-        """Filter a whole signal from zero initial state (leaves the
-        streaming state untouched)."""
-        sos = self._require_sos()
         zi = np.zeros((sos.shape[0], 2))
         y, _ = _signal.sosfilt(sos, np.asarray(x, dtype=float), zi=zi)
         return y

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
+from .artifacts import write_csv
 from .fracops import frac_pow
 
 CURVE_KINDS = ("complex_response", "mse", "mag_db", "phase_deg")
@@ -123,17 +123,6 @@ def g_ifio(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
     return num / den
 
 
-def io_evaluator(a_o: float, b_o: float, b: float, mu: float, omega_o: float):
-    """Callable s -> g_io(s) with parameters bound."""
-    return partial(g_io, a_o, b_o, b, mu, omega_o)
-
-
-def ifio_evaluator(a_o: float, b_o: float, b: float, mu: float,
-                   omega_o: float):
-    """Callable s -> g_ifio(s) with parameters bound."""
-    return partial(g_ifio, a_o, b_o, b, mu, omega_o)
-
-
 def delta(G, omega: float) -> complex:
     """Integrator mismatch 1 - j*omega*G(j*omega) at one frequency."""
     if omega <= 0.0:
@@ -222,21 +211,10 @@ def bode(G, omega_grid) -> tuple[FreqCurve, FreqCurve]:
 
 def write_mse_csv(path, omega, e_io, e_ifio) -> None:
     """CSV with header omega_rad_s,e_io,e_ifio in full double precision."""
-    omega = np.asarray(omega, dtype=float)
-    e_io = np.asarray(e_io, dtype=float)
-    e_ifio = np.asarray(e_ifio, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write("omega_rad_s,e_io,e_ifio\n")
-        for w, a, c in zip(omega, e_io, e_ifio):
-            fh.write(f"{float(w)!r},{float(a)!r},{float(c)!r}\n")
+    write_csv(path, ("omega_rad_s", "e_io", "e_ifio"), (omega, e_io, e_ifio))
 
 
 def write_bode_csv(path, omega, mag_db, phase_deg) -> None:
     """CSV with header omega_rad_s,mag_db,phase_deg in full precision."""
-    omega = np.asarray(omega, dtype=float)
-    mag_db = np.asarray(mag_db, dtype=float)
-    phase_deg = np.asarray(phase_deg, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write("omega_rad_s,mag_db,phase_deg\n")
-        for w, m, p in zip(omega, mag_db, phase_deg):
-            fh.write(f"{float(w)!r},{float(m)!r},{float(p)!r}\n")
+    write_csv(path, ("omega_rad_s", "mag_db", "phase_deg"),
+              (omega, mag_db, phase_deg))

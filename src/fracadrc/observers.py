@@ -12,6 +12,7 @@ Three variants share one interface (step(u, y), then read z1/z2/q_hat):
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .fracops import GLOperator
@@ -25,23 +26,24 @@ class EsoVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class ObserverGains:
-    """Observer gain pair; both entries must be strictly positive."""
+    """Observer gain pair; both entries must be positive and finite."""
 
     beta1: float
     beta2: float
     omega_o: float | None = None
 
     def __post_init__(self):
-        if self.beta1 <= 0.0 or self.beta2 <= 0.0:
-            raise ValueError(f"observer gains must be positive, got "
-                             f"({self.beta1}, {self.beta2})")
+        if not all(math.isfinite(g) and g > 0.0
+                   for g in (self.beta1, self.beta2)):
+            raise ValueError(f"observer gains must be positive and finite, "
+                             f"got ({self.beta1}, {self.beta2})")
 
 
 def bandwidth_gains(omega_o: float) -> ObserverGains:
     """All-observer-poles-at -omega_o parameterization:
     beta1 = 2*omega_o, beta2 = omega_o**2."""
-    if omega_o <= 0.0:
-        raise ValueError(f"omega_o must be positive, got {omega_o}")
+    if not (math.isfinite(omega_o) and omega_o > 0.0):
+        raise ValueError(f"omega_o must be positive and finite, got {omega_o}")
     return ObserverGains(2.0 * omega_o, omega_o * omega_o, float(omega_o))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,12 @@ class FracPlant:
                  memory_len: int | None = None):
         if not 0.0 < mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {mu}")
-        if b_o == 0.0:
-            raise ValueError("b_o must be nonzero")
-        if Ts <= 0.0:
-            raise ValueError(f"Ts must be positive, got {Ts}")
+        if not math.isfinite(a_o):
+            raise ValueError(f"a_o must be finite, got {a_o}")
+        if not (math.isfinite(b_o) and b_o != 0.0):
+            raise ValueError(f"b_o must be nonzero and finite, got {b_o}")
+        if not (math.isfinite(Ts) and Ts > 0.0):
+            raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.a_o = float(a_o)
         self.b_o = float(b_o)
         self.mu = float(mu)

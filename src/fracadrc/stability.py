@@ -8,7 +8,6 @@ with lambda = 1/q.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,11 +34,6 @@ def rationalize_order(mu: float, tol: float = 1e-9,
             return p, q_den
     raise ValueError(f"no rational p/q with q <= {max_den} matches "
                      f"mu={mu} within {tol}")
-
-
-def ifeso_gain_check(beta1: float, beta2: float) -> bool:
-    """Observer-estimation boundedness condition: both gains positive."""
-    return beta1 > 0.0 and beta2 > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +149,6 @@ class StabilityReport:
             "residual_max": float(np.max(self.residuals)),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json() + "\n")
-
 
 def sector_test(poly: CharPoly, guard: float = SECTOR_GUARD) -> StabilityReport:
     """Verdict on |arg(w_i)| > lam*pi/2 for every root.
@@ -180,17 +167,29 @@ def sector_test(poly: CharPoly, guard: float = SECTOR_GUARD) -> StabilityReport:
                            lam=poly.lam, degree=poly.degree)
 
 
+def loop_sector_test(b: float, b_o: float, a_o: float, K: float,
+                     omega_o: float,
+                     mu: float) -> tuple[CharPoly, StabilityReport]:
+    """Sector test of the improved-observer loop under bandwidth gains.
+
+    Rationalizes mu, builds the characteristic polynomial with
+    beta1 = 2*omega_o and beta2 = omega_o**2, and returns it with its
+    report.
+    """
+    p, q_den = rationalize_order(mu)
+    poly = build_char_poly(b, b_o, a_o, K, 2.0 * omega_o, omega_o ** 2,
+                           p, q_den)
+    return poly, sector_test(poly)
+
+
 def critical_gain(b: float, b_o: float, a_o: float, mu: float, omega_o: float,
                   k_low: float = 1e-2, k_high: float = 1e9,
                   rel_tol: float = 1e-6) -> float | None:
     """Smallest K at which the sector test first fails when sweeping upward
     from k_low; None if the loop stays stable all the way to k_high."""
-    p, q_den = rationalize_order(mu)
-    beta1, beta2 = 2.0 * omega_o, omega_o * omega_o
 
     def stable(K: float) -> bool:
-        return sector_test(build_char_poly(b, b_o, a_o, K, beta1, beta2,
-                                           p, q_den)).stable
+        return loop_sector_test(b, b_o, a_o, K, omega_o, mu)[1].stable
 
     if not stable(k_low):
         return k_low

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -24,8 +25,6 @@ from fracadrc import (
     build_char_poly,
     delta,
     gl_differintegral,
-    ifio_evaluator,
-    io_evaluator,
     g_ifio,
     g_io,
     log_grid,
@@ -62,11 +61,12 @@ def test_criterion_1_mse_closed_forms():
         mu = rng.uniform(0.1, 0.95)
         omega_o = rng.uniform(100.0, 5000.0)
         omega = 10.0 ** rng.uniform(-1.0, 5.0)
-        for closed, evaluator in (
-            (mse_io, io_evaluator),
-            (mse_ifio, ifio_evaluator),
+        for closed, transfer in (
+            (mse_io, g_io),
+            (mse_ifio, g_ifio),
         ):
-            expect = abs(delta(evaluator(a_o, 1.0, 1.0, mu, omega_o), omega)) ** 2
+            G = partial(transfer, a_o, 1.0, 1.0, mu, omega_o)
+            expect = abs(delta(G, omega)) ** 2
             got = float(closed(omega, a_o, mu, omega_o))
             worst = max(worst, abs(got - expect) / max(expect, 1e-300))
     elapsed = time.perf_counter() - t0

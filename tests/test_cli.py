@@ -2,6 +2,7 @@
 and artifact generation for every subcommand."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -12,6 +13,9 @@ from fracadrc import Trajectory, run_closed_loop
 from fracadrc.cli import main
 
 from helpers import ref_config, ref_plant
+
+REPRODUCE_ALL_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                           / "reference" / "reproduce-all.json")
 
 
 def run_cli(*argv) -> int:
@@ -46,6 +50,26 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     cfg.write_text("K = 300\nwibble = 7\n")
     assert run_cli("stability", "--config", str(cfg)) == 1
     assert "wibble" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["sweep", "--scales", "1"], ["bode"], ["mse"],
+    ["stability"], ["reproduce", "fig4"],
+])
+def test_config_variant_is_checked_for_every_command(tmp_path, capsys,
+                                                     command):
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text("variant = foo\n")
+    out = tmp_path / "out"
+    assert run_cli(*command, "--config", str(cfg), "--output-dir", str(out)) == 1
+    assert "foo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--a_o", "nan")])
+def test_non_finite_parameter_fails(tmp_path, capsys, flag, value):
+    assert run_cli("simulate", flag, value, "--output-dir", str(tmp_path)) == 1
+    assert flag.lstrip("-") in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -273,6 +297,19 @@ def test_reproduce_all_writes_index(tmp_path):
     assert listed == [f"fig{i}" for i in range(4, 15)]
     for entry in index["experiments"]:
         assert Path(entry["manifest"]).is_file()
+
+
+def test_reproduce_all_is_byte_identical_to_reference(tmp_path, monkeypatch):
+    # every manifest embeds the output path as given, so run from a fresh
+    # directory with the same relative path the reference was made with
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("reproduce", "all", "--output-dir", "results") == 0
+    reference = json.loads(REPRODUCE_ALL_REFERENCE.read_text())["files"]
+    root = tmp_path / "results"
+    produced = {p.relative_to(root).as_posix():
+                hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in root.rglob("*") if p.is_file()}
+    assert produced == {rel: rec["sha256"] for rel, rec in reference.items()}
 
 
 def test_reproduce_unstable_custom_exit_code(tmp_path, capsys):

@@ -11,13 +11,17 @@ from fracadrc import (
     AdrcConfig,
     AdrcVariant,
     DisturbanceSignal,
+    ObserverGains,
     SimulationDiverged,
     Trajectory,
+    bandwidth_gains,
     control_law,
     loop_gain_variants,
     reconstruct_disturbances,
     run_closed_loop,
 )
+from fracadrc.artifacts import CSV_BLOCK_ROWS
+from fracadrc.control import TRAJECTORY_COLUMNS
 
 from helpers import REF, ref_config, ref_plant
 
@@ -107,6 +111,25 @@ def test_config_validation():
         ref_config(b=0.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda v: ref_config(K=v), id="AdrcConfig.K"),
+    pytest.param(lambda v: ref_config(omega_o=v), id="AdrcConfig.omega_o"),
+    pytest.param(lambda v: ref_config(Ts=v), id="AdrcConfig.Ts"),
+    pytest.param(lambda v: ref_config(horizon=v), id="AdrcConfig.horizon"),
+    pytest.param(lambda v: ref_config(b=v), id="AdrcConfig.b"),
+    pytest.param(lambda v: ref_plant(a_o=v), id="FracPlant.a_o"),
+    pytest.param(lambda v: ref_plant(b_o=v), id="FracPlant.b_o"),
+    pytest.param(lambda v: ref_plant(Ts=v), id="FracPlant.Ts"),
+    pytest.param(lambda v: ObserverGains(v, 1.0), id="ObserverGains.beta1"),
+    pytest.param(lambda v: ObserverGains(1.0, v), id="ObserverGains.beta2"),
+    pytest.param(bandwidth_gains, id="bandwidth_gains"),
+])
+def test_constructors_reject_non_finite_values(build, value):
+    with pytest.raises(ValueError):
+        build(value)
+
+
 def test_divergence_raises_with_step_index():
     with pytest.raises(SimulationDiverged) as exc:
         run_closed_loop(ref_config(horizon=0.5), ref_plant(b_o=-1.0))
@@ -130,6 +153,19 @@ def test_trajectory_csv_round_trip(tmp_path):
     for name in ("t", "v_d", "y", "u", "u0", "z1", "z2", "q_hat", "d"):
         np.testing.assert_array_equal(getattr(back, name), getattr(traj, name))
     assert back.Ts == pytest.approx(traj.Ts, rel=1e-12)
+
+
+def test_trajectory_csv_is_row_by_row_repr_across_write_blocks(tmp_path):
+    n = 2 * CSV_BLOCK_ROWS + 3
+    rng = np.random.default_rng(7)
+    cols = {name: rng.standard_normal(n) for name in TRAJECTORY_COLUMNS}
+    cols["y"][[0, CSV_BLOCK_ROWS, n - 1]] = [np.nan, -0.0, np.inf]
+    Trajectory(Ts=1e-3, **cols).to_csv(tmp_path / "traj.csv")
+    # the plain per-row writer is the reference
+    expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n"
+        for row in zip(*(cols[name] for name in TRAJECTORY_COLUMNS)))
+    assert (tmp_path / "traj.csv").read_text() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from fracadrc import (
     bandwidth_gains,
     build_char_poly,
     critical_gain,
-    ifeso_gain_check,
     poly_roots,
     rationalize_order,
     sector_test,
@@ -199,10 +198,3 @@ def test_matched_loop_never_destabilizes_with_gain():
 def test_everywhere_unstable_loop_fails_at_sweep_floor():
     k = critical_gain(1.0, 1.0, -2000.0, 0.8, 400.0, k_low=0.01)
     assert k == pytest.approx(0.01)
-
-
-def test_observer_gain_condition():
-    assert ifeso_gain_check(800.0, 160000.0)
-    assert not ifeso_gain_check(0.0, 1.0)
-    assert not ifeso_gain_check(1.0, 0.0)
-    assert not ifeso_gain_check(-1.0, 5.0)
