@@ -18,8 +18,8 @@ from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       loop_gain_variants, run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           ExperimentSpec, UnstableConfigError, bode_files,
-                          make_loop, mse_file, run_experiment, step_metrics,
-                          summarize, trajectory_file, write_manifest)
+                          make_loop, mse_curves, mse_file, run_experiment,
+                          step_metrics, trajectory_file, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
@@ -264,7 +264,8 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},
-                   [mse_file(outdir, "mse.csv", grid, params)],
+                   [mse_file(outdir, "mse.csv", grid,
+                             mse_curves(grid, params), params)],
                    command="mse")
     print(f"wrote {outdir / 'mse.csv'}")
     return 0
@@ -300,7 +301,6 @@ def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
         spec = ExperimentSpec(id=exp_id, overrides=overrides,
                               output_dir=args.output_dir)
         manifest = run_experiment(spec)
-        summarize(manifest)
         manifests.append(manifest)
         print(f"{exp_id}: {len(manifest['files'])} artifacts under "
               f"{manifest['directory']}")

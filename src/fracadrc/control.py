@@ -120,15 +120,21 @@ def control_law(u0: float, z2: float, q_hat: float, b: float) -> float:
 
 
 def render_reference(v_d, t: np.ndarray) -> np.ndarray:
-    """Reference signal on grid `t`: scalar (constant), array, or callable."""
+    """Reference signal on grid `t`: scalar (constant), array, or callable.
+    Every rendered value must be finite."""
     if callable(v_d):
-        return np.asarray([float(v_d(tk)) for tk in t])
-    arr = np.asarray(v_d, dtype=float)
-    if arr.ndim == 0:
-        return np.full(t.size, float(arr))
-    if arr.size < t.size:
-        raise ValueError("reference record shorter than horizon")
-    return arr[: t.size].astype(float)
+        vd = np.asarray([float(v_d(tk)) for tk in t])
+    else:
+        arr = np.asarray(v_d, dtype=float)
+        if arr.ndim == 0:
+            vd = np.full(t.size, float(arr))
+        elif arr.size < t.size:
+            raise ValueError("reference record shorter than horizon")
+        else:
+            vd = arr[: t.size].astype(float)
+    if not np.all(np.isfinite(vd)):
+        raise ValueError("reference must be finite")
+    return vd
 
 
 def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
@@ -153,6 +159,8 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
         else np.asarray(dsig, dtype=float)[:n]
     if darr.size != n:
         raise ValueError("disturbance record shorter than horizon")
+    if not np.all(np.isfinite(darr)):
+        raise ValueError("disturbance must be finite")
 
     obs = make_observer(cfg.variant.observer, bandwidth_gains(cfg.omega_o),
                         cfg.b, plant.mu, cfg.Ts, cfg.memory_len)

@@ -4,9 +4,11 @@ Each experiment id maps to one study: estimation-error MSE curves and their
 parameter families, Bode comparisons of the compensated objects, the
 stability report of the reference configuration, and the step-response /
 loop-gain-robustness simulation batteries.  Artifacts land under
-<output_dir>/<experiment_id>/ as CSV plus a JSON manifest; `summarize`
-turns a manifest into a metrics table.  The CLI builds its loops and
-writes its artifacts and manifests with the same helpers.
+<output_dir>/<experiment_id>/ as CSV plus a JSON manifest and a
+metrics table, metrics.csv, computed from the results still in memory;
+`summarize` derives the same table from a manifest on disk.  The CLI
+builds its loops and writes its artifacts and manifests with the same
+helpers.
 """
 
 from __future__ import annotations
@@ -130,14 +132,19 @@ def trajectory_file(outdir: Path, name: str, traj: Trajectory,
     return {"path": name, "kind": "trajectory", "parameters": parameters}
 
 
-def mse_file(outdir: Path, name: str, grid: np.ndarray,
-             parameters: dict) -> dict:
-    """Write both closed-form estimation-error curves at the a_o, mu and
-    omega_o of `parameters` over `grid` as <outdir>/<name>; returns its
-    manifest entry."""
+def mse_curves(grid: np.ndarray,
+               parameters: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Both closed-form estimation-error curves (e_io, e_ifio) at the a_o,
+    mu and omega_o of `parameters` over `grid`."""
     args = (parameters["a_o"], parameters["mu"], parameters["omega_o"])
-    write_mse_csv(outdir / name, grid, mse_io(grid, *args),
-                  mse_ifio(grid, *args))
+    return mse_io(grid, *args), mse_ifio(grid, *args)
+
+
+def mse_file(outdir: Path, name: str, grid: np.ndarray,
+             curves: tuple[np.ndarray, np.ndarray], parameters: dict) -> dict:
+    """Write the (e_io, e_ifio) `curves` over `grid` as <outdir>/<name>;
+    returns its manifest entry."""
+    write_mse_csv(outdir / name, grid, *curves)
     return {"path": name, "kind": "mse", "parameters": parameters}
 
 
@@ -176,20 +183,26 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     outdir = Path(spec.output_dir) / spec.id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
+    # artifact path -> its Trajectory or (e_io, e_ifio), for metrics.csv
+    data: dict[str, object] = {}
 
     if spec.id == "fig4":
         base = dict(MSE_BASE)
         base.update({k: spec.overrides[k] for k in base if k in spec.overrides})
-        files.append(mse_file(outdir, "mse.csv", log_grid(*MSE_GRID),
-                              {**base, **MSE_GRID_PARAMS}))
+        grid = log_grid(*MSE_GRID)
+        parameters = {**base, **MSE_GRID_PARAMS}
+        data["mse.csv"] = curves = mse_curves(grid, parameters)
+        files.append(mse_file(outdir, "mse.csv", grid, curves, parameters))
         manifest_params = base
 
     elif spec.id in MSE_FAMILIES:
         key, values = MSE_FAMILIES[spec.id]
         grid = log_grid(*MSE_GRID)
         for v in values:
-            files.append(mse_file(outdir, f"mse_{key}_{v:g}.csv", grid,
-                                  {**MSE_BASE, key: v, **MSE_GRID_PARAMS}))
+            name = f"mse_{key}_{v:g}.csv"
+            parameters = {**MSE_BASE, key: v, **MSE_GRID_PARAMS}
+            data[name] = curves = mse_curves(grid, parameters)
+            files.append(mse_file(outdir, name, grid, curves, parameters))
         manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
 
     elif spec.id in BODE_MUS:
@@ -205,10 +218,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     elif spec.id == "fig11":
         params = _params(spec.overrides)
         for variant in AdrcVariant:
-            traj = run_closed_loop(*make_loop(params, variant))
-            files.append(trajectory_file(
-                outdir, f"step_{variant.value}.csv", traj,
-                {**params, "variant": variant.value}))
+            name = f"step_{variant.value}.csv"
+            data[name] = traj = run_closed_loop(*make_loop(params, variant))
+            files.append(trajectory_file(outdir, name, traj,
+                                         {**params, "variant": variant.value}))
         manifest_params = params
 
     elif spec.id in LOOP_GAIN_VARIANTS:
@@ -217,8 +230,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         trajs = loop_gain_variants(*make_loop(params, variant),
                                    LOOP_GAIN_SCALES)
         for scale, traj in zip(LOOP_GAIN_SCALES, trajs):
+            name = f"step_{variant.value}_scale_{scale:g}.csv"
+            data[name] = traj
             files.append(trajectory_file(
-                outdir, f"step_{variant.value}_scale_{scale:g}.csv", traj,
+                outdir, name, traj,
                 {**params, "variant": variant.value, "gain_scale": scale}))
         manifest_params = {**params, "variant": variant.value,
                            "scales": list(LOOP_GAIN_SCALES)}
@@ -232,11 +247,14 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         if not report.stable:
             write_manifest(outdir, manifest_params, files, experiment=spec.id)
             raise UnstableConfigError(report)
-        files.append(trajectory_file(outdir, "trajectory.csv",
-                                     run_closed_loop(cfg, plant),
+        data["trajectory.csv"] = traj = run_closed_loop(cfg, plant)
+        files.append(trajectory_file(outdir, "trajectory.csv", traj,
                                      manifest_params))
 
-    return write_manifest(outdir, manifest_params, files, experiment=spec.id)
+    manifest = write_manifest(outdir, manifest_params, files,
+                              experiment=spec.id)
+    _write_metrics(outdir, files, data)
+    return manifest
 
 
 def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
@@ -279,33 +297,28 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
     return out
 
 
-def _mse_curve_metrics(path: Path) -> dict:
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    ratio = data["e_io"] / data["e_ifio"]
-    return {"max_mse_ratio": float(np.max(ratio))}
+# artifact kinds that get a row in metrics.csv
+METRIC_KINDS = ("trajectory", "mse")
 
 
-def summarize(manifest: dict | str | Path) -> list[dict]:
-    """Metrics table for every trajectory/MSE artifact in a manifest.
+def _metrics_row(entry: dict, data) -> dict:
+    """Metrics row of one trajectory or MSE manifest entry from its data:
+    a Trajectory gives its step_metrics, an (e_io, e_ifio) pair of curves
+    the peak ratio max_mse_ratio."""
+    if entry["kind"] == "trajectory":
+        metrics = step_metrics(data.t, data.y, data.v_d, data.u0, data.Ts)
+    else:
+        e_io, e_ifio = data
+        metrics = {"max_mse_ratio": float(np.max(e_io / e_ifio))}
+    return {"artifact": entry["path"], "kind": entry["kind"], **metrics}
 
-    Also written as metrics.csv beside the manifest.  Returns the rows.
-    """
-    if not isinstance(manifest, dict):
-        with open(manifest) as fh:
-            manifest = json.load(fh)
-    outdir = Path(manifest["directory"])
-    rows: list[dict] = []
-    for entry in manifest["files"]:
-        path = outdir / entry["path"]
-        if entry["kind"] == "trajectory":
-            traj = Trajectory.from_csv(path)
-            metrics = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
-        elif entry["kind"] == "mse":
-            metrics = _mse_curve_metrics(path)
-        else:
-            continue
-        rows.append({"artifact": entry["path"], "kind": entry["kind"],
-                     **metrics})
+
+def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
+    """Metrics row of each trajectory/MSE entry of `files`, in order, from
+    `data` (path -> Trajectory or (e_io, e_ifio)); written as
+    <outdir>/metrics.csv.  Returns the rows."""
+    rows = [_metrics_row(entry, data[entry["path"]]) for entry in files
+            if entry["kind"] in METRIC_KINDS]
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
     with open(outdir / "metrics.csv", "w", newline="") as fh:
@@ -316,3 +329,26 @@ def summarize(manifest: dict | str | Path) -> list[dict]:
                      else str(row[c]) for c in columns]
             fh.write(",".join(cells) + "\n")
     return rows
+
+
+def _read_artifact(path: Path, kind: str):
+    if kind == "trajectory":
+        return Trajectory.from_csv(path)
+    table = np.genfromtxt(path, delimiter=",", names=True)
+    return table["e_io"], table["e_ifio"]
+
+
+def summarize(manifest: dict | str | Path) -> list[dict]:
+    """Metrics table of a manifest's trajectory/MSE artifacts, read back
+    from disk.
+
+    Written as metrics.csv beside the manifest, with the same bytes
+    run_experiment wrote from memory.  Returns the rows.
+    """
+    if not isinstance(manifest, dict):
+        with open(manifest) as fh:
+            manifest = json.load(fh)
+    outdir = Path(manifest["directory"])
+    data = {entry["path"]: _read_artifact(outdir / entry["path"], entry["kind"])
+            for entry in manifest["files"] if entry["kind"] in METRIC_KINDS}
+    return _write_metrics(outdir, manifest["files"], data)

@@ -69,8 +69,8 @@ class GLOperator:
     """
 
     def __init__(self, order: float, step: float, memory_len: int | None = None):
-        if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"step must be positive and finite, got {step}")
         if memory_len is not None and memory_len < 1:
             raise ValueError(f"memory_len must be >= 1, got {memory_len}")
         self.order = float(order)
@@ -184,8 +184,8 @@ def gl_differintegral(x, mu: float, step: float,
     same short-memory approximation as GLOperator's: weights at lags
     >= memory_len are dropped.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be one-dimensional")
@@ -244,8 +244,8 @@ class OustaloupFilter:
 
     def attach_discretization(self, step: float) -> None:
         """Bilinear-map the ladder to sample time `step`."""
-        if step <= 0.0:
-            raise ValueError(f"step must be positive, got {step}")
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"step must be positive and finite, got {step}")
         zd, pd, kd = _signal.bilinear_zpk(self.zeros, self.poles, self.gain,
                                           fs=1.0 / step)
         self._sos = _signal.zpk2sos(zd, pd, kd)

@@ -41,6 +41,9 @@ class FreqCurve:
 def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
              points_per_decade: int = 60) -> np.ndarray:
     """Log-spaced grid, `points_per_decade` per decade, endpoints included."""
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
+        raise ValueError(f"omega_min and omega_max must be finite, "
+                         f"got {omega_min}, {omega_max}")
     if not 0.0 < omega_min < omega_max:
         raise ValueError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:

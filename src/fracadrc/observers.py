@@ -61,8 +61,8 @@ class Ieso:
     variant = EsoVariant.IESO
 
     def __init__(self, gains: ObserverGains, b: float, Ts: float):
-        if Ts <= 0.0:
-            raise ValueError(f"Ts must be positive, got {Ts}")
+        if not (math.isfinite(Ts) and Ts > 0.0):
+            raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.gains = gains
         self.b = float(b)
         self.Ts = float(Ts)
@@ -96,8 +96,8 @@ class Feso:
 
     def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float,
                  memory_len: int | None = None):
-        if Ts <= 0.0:
-            raise ValueError(f"Ts must be positive, got {Ts}")
+        if not (math.isfinite(Ts) and Ts > 0.0):
+            raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.gains = gains
         self.b = float(b)
         self.mu = _check_order(mu)
@@ -162,8 +162,8 @@ class Ifeso:
 
     def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float,
                  memory_len: int | None = None):
-        if Ts <= 0.0:
-            raise ValueError(f"Ts must be positive, got {Ts}")
+        if not (math.isfinite(Ts) and Ts > 0.0):
+            raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.gains = gains
         self.b = float(b)
         self.mu = _check_order(mu)

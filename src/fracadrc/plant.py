@@ -84,8 +84,14 @@ class DisturbanceSignal:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        for name in ("amplitude", "frequency", "onset"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"disturbance {name} must be finite, "
+                                 f"got {getattr(self, name)}")
         if self.samples is not None:
             self.samples = np.asarray(self.samples, dtype=float)
+            if not np.all(np.isfinite(self.samples)):
+                raise ValueError("disturbance samples must be finite")
 
     @classmethod
     def zero(cls) -> "DisturbanceSignal":

@@ -66,10 +66,30 @@ def test_config_variant_is_checked_for_every_command(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, value", [("--horizon", "inf"), ("--a_o", "nan")])
-def test_non_finite_parameter_fails(tmp_path, capsys, flag, value):
-    assert run_cli("simulate", flag, value, "--output-dir", str(tmp_path)) == 1
-    assert flag.lstrip("-") in capsys.readouterr().err
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["simulate", "--horizon", "inf"], "horizon", id="--horizon-inf"),
+    pytest.param(["simulate", "--a_o", "nan"], "a_o", id="--a_o-nan"),
+    pytest.param(["simulate", "--dist-kind", "step", "--dist-amplitude", "nan"],
+                 "amplitude", id="--dist-amplitude-nan"),
+    pytest.param(["simulate", "--dist-kind", "sinusoid", "--dist-amplitude", "1",
+                  "--dist-frequency", "inf"], "frequency",
+                 id="--dist-frequency-inf"),
+    pytest.param(["simulate", "--dist-kind", "step", "--dist-amplitude", "1",
+                  "--dist-onset", "nan"], "onset", id="--dist-onset-nan"),
+    pytest.param(["simulate", "--setpoint", "inf"], "reference",
+                 id="--setpoint-inf"),
+    pytest.param(["bode", "--omega-min", "nan"], "omega_min",
+                 id="bode--omega-min-nan"),
+    pytest.param(["bode", "--omega-max", "inf"], "omega_max",
+                 id="bode--omega-max-inf"),
+    pytest.param(["mse", "--omega-min", "nan"], "omega_min",
+                 id="mse--omega-min-nan"),
+    pytest.param(["mse", "--omega-max", "inf"], "omega_max",
+                 id="mse--omega-max-inf"),
+])
+def test_non_finite_parameter_fails(tmp_path, capsys, argv, name):
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 1
+    assert name in capsys.readouterr().err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -284,6 +304,18 @@ def test_reproduce_single_experiment(tmp_path):
     assert (tmp_path / "fig5" / "metrics.csv").is_file()
 
 
+@pytest.mark.parametrize("experiment", ["fig5", "fig11"])
+def test_reproduce_reads_no_artifact_back(tmp_path, monkeypatch, experiment):
+    # metrics.csv comes from the results in memory, not from the CSVs
+    def no_read(*args, **kwargs):
+        raise AssertionError("reproduce read an artifact back")
+
+    monkeypatch.setattr(Trajectory, "from_csv", no_read)
+    monkeypatch.setattr(np, "genfromtxt", no_read)
+    assert run_cli("reproduce", experiment, "--output-dir", str(tmp_path)) == 0
+    assert (tmp_path / experiment / "metrics.csv").is_file()
+
+
 def test_reproduce_all_writes_index(tmp_path):
     assert (
         run_cli(
@@ -320,6 +352,7 @@ def test_reproduce_unstable_custom_exit_code(tmp_path, capsys):
     assert "unstable" in capsys.readouterr().err
     report = tmp_path / "custom" / "stability_report.json"
     assert report.is_file()
+    assert not (tmp_path / "custom" / "metrics.csv").exists()
 
 
 def test_reproduce_rejects_unknown_id(tmp_path):

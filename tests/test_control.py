@@ -11,17 +11,23 @@ from fracadrc import (
     AdrcConfig,
     AdrcVariant,
     DisturbanceSignal,
+    Feso,
+    GLOperator,
+    Ieso,
+    Ifeso,
     ObserverGains,
     SimulationDiverged,
     Trajectory,
     bandwidth_gains,
     control_law,
+    gl_differintegral,
     loop_gain_variants,
+    oustaloup_design,
     reconstruct_disturbances,
     run_closed_loop,
 )
 from fracadrc.artifacts import CSV_BLOCK_ROWS
-from fracadrc.control import TRAJECTORY_COLUMNS
+from fracadrc.control import TRAJECTORY_COLUMNS, render_reference
 
 from helpers import REF, ref_config, ref_plant
 
@@ -124,6 +130,35 @@ def test_config_validation():
     pytest.param(lambda v: ObserverGains(v, 1.0), id="ObserverGains.beta1"),
     pytest.param(lambda v: ObserverGains(1.0, v), id="ObserverGains.beta2"),
     pytest.param(bandwidth_gains, id="bandwidth_gains"),
+    pytest.param(lambda v: DisturbanceSignal.step(v),
+                 id="DisturbanceSignal.amplitude"),
+    pytest.param(lambda v: DisturbanceSignal.sinusoid(1.0, v),
+                 id="DisturbanceSignal.frequency"),
+    pytest.param(lambda v: DisturbanceSignal.step(1.0, v),
+                 id="DisturbanceSignal.onset"),
+    pytest.param(lambda v: DisturbanceSignal.from_samples([0.0, v, 1.0]),
+                 id="DisturbanceSignal.samples"),
+    pytest.param(lambda v: render_reference(v, np.arange(4) * 1e-3),
+                 id="render_reference.scalar"),
+    pytest.param(lambda v: render_reference([1.0, v, 1.0, 1.0],
+                                            np.arange(4) * 1e-3),
+                 id="render_reference.array"),
+    pytest.param(lambda v: render_reference(lambda tk: v if tk > 0 else 1.0,
+                                            np.arange(4) * 1e-3),
+                 id="render_reference.callable"),
+    pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.01),
+                                           ref_plant(), d=np.full(80, v)),
+                 id="run_closed_loop.d"),
+    pytest.param(lambda v: Ieso(bandwidth_gains(400.0), 1.0, v), id="Ieso.Ts"),
+    pytest.param(lambda v: Feso(bandwidth_gains(400.0), 1.0, 0.8, v),
+                 id="Feso.Ts"),
+    pytest.param(lambda v: Ifeso(bandwidth_gains(400.0), 1.0, 0.8, v),
+                 id="Ifeso.Ts"),
+    pytest.param(lambda v: GLOperator(0.8, v), id="GLOperator.step"),
+    pytest.param(lambda v: gl_differintegral(np.ones(4), 0.8, v),
+                 id="gl_differintegral.step"),
+    pytest.param(lambda v: oustaloup_design(0.5).attach_discretization(v),
+                 id="OustaloupFilter.step"),
 ])
 def test_constructors_reject_non_finite_values(build, value):
     with pytest.raises(ValueError):

@@ -132,6 +132,7 @@ def test_custom_experiment_gates_on_stability(tmp_path):
     report = json.loads((tmp_path / "custom" / "stability_report.json").read_text())
     assert report["stable"] is False
     assert not (tmp_path / "custom" / "trajectory.csv").exists()
+    assert not (tmp_path / "custom" / "metrics.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,16 @@ def test_summarize_step_experiment(tmp_path):
     text = (tmp_path / "fig11" / "metrics.csv").read_text()
     assert text.splitlines()[0].startswith("artifact,kind,")
     assert "np.float64" not in text
+
+
+@pytest.mark.parametrize("fid", ["fig4", "fig5", "fig11"])
+def test_summarize_rewrites_the_metrics_run_experiment_wrote(tmp_path, fid):
+    run_experiment(ExperimentSpec(id=fid, output_dir=tmp_path))
+    metrics = tmp_path / fid / "metrics.csv"
+    from_memory = metrics.read_bytes()
+    metrics.unlink()
+    summarize(tmp_path / fid / "manifest.json")
+    assert metrics.read_bytes() == from_memory
 
 
 def test_summarize_mse_experiment(tmp_path):

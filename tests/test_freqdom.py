@@ -144,6 +144,13 @@ def test_log_grid_default_span():
     assert np.all(np.diff(np.log10(grid)) > 0)
 
 
+@pytest.mark.parametrize("bounds", [(0.1, math.inf), (math.nan, 10.0),
+                                    (1.0, math.nan), (-math.inf, 10.0)])
+def test_log_grid_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        log_grid(*bounds)
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(10.0, 1.0)
