@@ -25,7 +25,7 @@ from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
 
 PARAM_KEYS = ("a_o", "b_o", "b", "mu", "K", "omega_o", "Ts", "horizon",
-              "variant", "memory_len")
+              "variant")
 
 
 class CliError(ValueError):
@@ -54,8 +54,6 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--horizon", type=float, help="simulation length, seconds")
     p.add_argument("--variant", choices=[v.value for v in AdrcVariant],
                    help="controller structure (default ifadrc)")
-    p.add_argument("--memory-len", dest="memory_len", type=int,
-                   help="GL history truncation in samples (default: full)")
     p.add_argument("--output-dir", default="results",
                    help="artifact root directory (default: results)")
 
@@ -124,13 +122,6 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key == "variant":
         return raw.lower()
-    if key == "memory_len":
-        if raw.lower() in ("none", ""):
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise CliError(f"invalid value for 'memory_len': {raw!r}")
     try:
         return float(raw)
     except ValueError:
@@ -163,7 +154,6 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
     constructors are the only check on the values."""
     params = dict(DEFAULT_PARAMS)
     params["variant"] = "ifadrc"
-    params["memory_len"] = None
     if getattr(args, "config", None):
         params.update(load_config_file(args.config))
     for key in PARAM_KEYS:
@@ -212,28 +202,41 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     return values
 
 
+def _file_names(pattern: str, values: list[float], flag: str) -> list[str]:
+    """One file name per value; values that would share a file fail."""
+    names = [pattern.format(v) for v in values]
+    clashes = sorted({n for n in names if names.count(n) > 1})
+    if clashes:
+        raise CliError(f"--{flag}: more than one value would write "
+                       f"{', '.join(clashes)}")
+    return names
+
+
 def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     outdir = Path(args.output_dir) / "sweep"
-    outdir.mkdir(parents=True, exist_ok=True)
-    if args.scales:
+    if args.scales and not (args.param or args.values):
         scales = _parse_float_list(args.scales, "scales")
+        names = _file_names(f"step_{params['variant']}_scale_{{:g}}.csv",
+                            scales, "scales")
+        outdir.mkdir(parents=True, exist_ok=True)
         trajs = loop_gain_variants(cfg, plant, scales)
-        files = [trajectory_file(
-                     outdir, f"step_{params['variant']}_scale_{scale:g}.csv",
-                     traj, {**params, "gain_scale": scale})
-                 for scale, traj in zip(scales, trajs)]
+        files = [trajectory_file(outdir, name, traj,
+                                 {**params, "gain_scale": scale})
+                 for name, scale, traj in zip(names, scales, trajs)]
         meta = {**params, "scales": scales}
-    elif args.param and args.values:
+    elif args.param and args.values and not args.scales:
         values = _parse_float_list(args.values, "values")
+        names = _file_names(f"step_{args.param}_{{:g}}.csv", values, "values")
+        outdir.mkdir(parents=True, exist_ok=True)
         files = []
-        for value in values:
+        for name, value in zip(names, values):
             point = {**params, args.param: value}
             files.append(trajectory_file(
-                outdir, f"step_{args.param}_{value:g}.csv",
-                run_closed_loop(*make_loop(point)), point))
+                outdir, name, run_closed_loop(*make_loop(point)), point))
         meta = {**params, "param": args.param, "values": values}
     else:
-        raise CliError("sweep needs --scales or both --param and --values")
+        raise CliError("sweep takes either --scales, or --param with "
+                       "--values, but not both")
     write_manifest(outdir, meta, files, command="sweep")
     print(f"wrote {len(files)} trajectories under {outdir}")
     return 0
@@ -291,13 +294,18 @@ def cmd_stability(args, params: dict, cfg: AdrcConfig,
 
 def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
                   plant: FracPlant) -> int:
+    given = [f"--{key}" for key in ("config", *PARAM_KEYS)
+             if getattr(args, key) is not None]
+    if given and args.experiment in (*EXPERIMENT_IDS, "all"):
+        raise CliError(f"reproduce {args.experiment} runs its own fixed "
+                       f"parameters; only 'reproduce custom' takes "
+                       f"{', '.join(given)}")
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
     manifests = []
     for exp_id in ids:
-        # custom runs the resolved parameters; memory_len only when set
-        overrides = {k: v for k, v in params.items() if v is not None} \
-            if exp_id == "custom" else {}
+        # custom runs the resolved parameters
+        overrides = params if exp_id == "custom" else {}
         spec = ExperimentSpec(id=exp_id, overrides=overrides,
                               output_dir=args.output_dir)
         manifest = run_experiment(spec)

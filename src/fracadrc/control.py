@@ -56,7 +56,6 @@ class AdrcConfig:
     b: float = 1.0
     Ts: float = 1.0 / 8000.0
     horizon: float = 1.0
-    memory_len: int | None = None
 
     def __post_init__(self):
         if isinstance(self.variant, str):
@@ -163,7 +162,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
         raise ValueError("disturbance must be finite")
 
     obs = make_observer(cfg.variant.observer, bandwidth_gains(cfg.omega_o),
-                        cfg.b, plant.mu, cfg.Ts, cfg.memory_len)
+                        cfg.b, plant.mu, cfg.Ts)
     ya = np.empty(n)
     ua = np.empty(n)
     u0a = np.empty(n)

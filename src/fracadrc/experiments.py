@@ -86,7 +86,7 @@ class ExperimentSpec:
 
 def _params(overrides: dict) -> dict:
     params = dict(DEFAULT_PARAMS)
-    unknown = set(overrides) - set(DEFAULT_PARAMS) - {"variant", "memory_len"}
+    unknown = set(overrides) - set(DEFAULT_PARAMS) - {"variant"}
     if unknown:
         raise ValueError(f"unknown override keys {sorted(unknown)}")
     params.update(overrides)
@@ -98,19 +98,16 @@ def make_loop(params: dict,
               ) -> tuple[AdrcConfig, FracPlant]:
     """Controller config and fresh plant for one parameter set.
 
-    `params` holds the DEFAULT_PARAMS keys and may hold `variant` and
-    `memory_len`; an explicit `variant` takes precedence.  The AdrcConfig
-    and FracPlant constructors are the only check on the values.
+    `params` holds the DEFAULT_PARAMS keys and may hold `variant`; an
+    explicit `variant` takes precedence.  The AdrcConfig and FracPlant
+    constructors are the only check on the values.
     """
     if variant is None:
         variant = params.get("variant", AdrcVariant.IFADRC)
-    memory_len = params.get("memory_len")
     cfg = AdrcConfig(variant=variant, K=params["K"],
                      omega_o=params["omega_o"], b=params["b"],
-                     Ts=params["Ts"], horizon=params["horizon"],
-                     memory_len=memory_len)
-    plant = FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"],
-                      memory_len)
+                     Ts=params["Ts"], horizon=params["horizon"])
+    plant = FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"])
     return cfg, plant
 
 

@@ -42,9 +42,9 @@ NEAR_WINDOW = 8192
 
 
 @functools.lru_cache(maxsize=16)
-def _near_weights(order: float, window: int) -> np.ndarray:
-    """w_window .. w_1, read-only and shared by every operator of `order`."""
-    w = gl_coefficients(order, window + 1)[:0:-1].copy()
+def _near_weights(order: float) -> np.ndarray:
+    """w_NEAR_WINDOW .. w_1, read-only, shared by all operators of `order`."""
+    w = gl_coefficients(order, NEAR_WINDOW + 1)[:0:-1].copy()
     w.flags.writeable = False
     return w
 
@@ -52,10 +52,7 @@ def _near_weights(order: float, window: int) -> np.ndarray:
 class GLOperator:
     """Streaming GL differintegrator of order `order` at fixed step `step`.
 
-    Keeps the full input history by default.  `memory_len` selects the
-    short-memory approximation: weights at lags >= memory_len are dropped,
-    so the operator forgets samples older than that.  Negative orders
-    integrate.
+    Keeps the full input history; negative orders integrate.
 
     The history sum is exact up to rounding and costs O(n log^2 n) over n
     samples (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
@@ -68,24 +65,18 @@ class GLOperator:
     which is read at step n or later.
     """
 
-    def __init__(self, order: float, step: float, memory_len: int | None = None):
+    # perfbench/tracing.py reads this; the history is never truncated
+    memory_len = None
+
+    def __init__(self, order: float, step: float):
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"step must be positive and finite, got {step}")
-        if memory_len is not None and memory_len < 1:
-            raise ValueError(f"memory_len must be >= 1, got {memory_len}")
         self.order = float(order)
         self.step = float(step)
-        self.memory_len = memory_len
         self._scale = self.step ** -self.order
-        window = NEAR_WINDOW if memory_len is None else min(NEAR_WINDOW,
-                                                            memory_len)
         # _wnear[-m:] lines up with the newest m samples of _hist in the sum
-        self._wnear = _near_weights(self.order, window)
-        self._near = window - 1
-        # the far field holds lags >= NEAR_WINDOW, all zero-weighted when
-        # memory_len <= NEAR_WINDOW
-        far = memory_len is None or memory_len > NEAR_WINDOW
-        self._far_from = NEAR_WINDOW if far else math.inf
+        self._wnear = _near_weights(self.order)
+        self._near = NEAR_WINDOW - 1
         self._hist = np.zeros(0)
         self._far = np.zeros(0)
         self._size = 0
@@ -98,7 +89,7 @@ class GLOperator:
         hist[: self._size] = self._hist[: self._size]
         self._hist = hist
         self._cap = capacity
-        if capacity > self._far_from:
+        if capacity > NEAR_WINDOW:
             # the history stays below capacity, so a flushed block has
             # P <= capacity/2, ends at n <= capacity - P and writes the
             # far field up to n + 2P - 2 < 1.5 * capacity
@@ -117,21 +108,15 @@ class GLOperator:
 
     @property
     def history(self) -> np.ndarray:
-        """Samples inside the active convolution window (newest last)."""
-        window = self._size
-        if self.memory_len is not None:
-            window = min(window, self.memory_len)
-        return self._hist[self._size - window : self._size].copy()
+        """Every sample pushed so far (newest last)."""
+        return self._hist[: self._size].copy()
 
     def _flush(self, n: int) -> None:
         """Add every block that ends at history length `n` to the far field."""
         P = NEAR_WINDOW
-        limit = self.memory_len
-        while n % P == 0 and (limit is None or P < limit):
+        while n % P == 0:
             nfft = 2 * P
             seg = gl_coefficients(self.order, nfft)[P:]
-            if limit is not None:
-                seg[limit - P :] = 0.0
             spec = np.fft.rfft(seg, nfft)
             del seg  # frees the 2P weights before the next transform
             spec *= np.fft.rfft(self._hist[n - P : n], nfft)
@@ -149,7 +134,7 @@ class GLOperator:
         if m == 0:
             return 0.0
         tail = float(self._wnear[-m:].dot(self._hist[n - m : n]))
-        if n < self._far_from:
+        if n < NEAR_WINDOW:
             return tail
         while self._flushed + NEAR_WINDOW <= n:
             self._flushed += NEAR_WINDOW
@@ -168,21 +153,13 @@ class GLOperator:
         self.push(sample)
         return self._scale * (sample + tail)
 
-    def reset(self) -> None:
-        self._size = 0
-        self._flushed = 0
-        self._far[:] = 0.0
 
-
-def gl_differintegral(x, mu: float, step: float,
-                      memory_len: int | None = None) -> np.ndarray:
+def gl_differintegral(x, mu: float, step: float) -> np.ndarray:
     """Order-`mu` GL differintegral of a whole uniformly sampled signal.
 
     Zero history is assumed before the first sample and a value is returned
     at every sample.  Numerically equivalent to streaming GLOperator.apply
-    over `x`, but computed as a single FFT convolution.  `memory_len` is the
-    same short-memory approximation as GLOperator's: weights at lags
-    >= memory_len are dropped.
+    over `x`, but computed as a single FFT convolution.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -191,8 +168,7 @@ def gl_differintegral(x, mu: float, step: float,
         raise ValueError("x must be one-dimensional")
     if x.size == 0:
         return x.copy()
-    count = x.size if memory_len is None else min(x.size, memory_len)
-    w = gl_coefficients(mu, count)
+    w = gl_coefficients(mu, x.size)
     y = _signal.fftconvolve(x, w)[: x.size]
     return (step ** -mu) * y
 

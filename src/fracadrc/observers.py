@@ -80,9 +80,6 @@ class Ieso:
     # no q_hat path, so in-loop stepping is the plain update
     loop_step = step
 
-    def reset(self) -> None:
-        self.z1 = self.z2 = self.q_hat = 0.0
-
 
 class Feso:
     """Fractional ESO: both observer states advance at order mu.
@@ -94,16 +91,15 @@ class Feso:
 
     variant = EsoVariant.FESO
 
-    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float,
-                 memory_len: int | None = None):
+    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
         if not (math.isfinite(Ts) and Ts > 0.0):
             raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.gains = gains
         self.b = float(b)
         self.mu = _check_order(mu)
         self.Ts = float(Ts)
-        self._gl1 = GLOperator(self.mu, Ts, memory_len)
-        self._gl2 = GLOperator(self.mu, Ts, memory_len)
+        self._gl1 = GLOperator(self.mu, Ts)
+        self._gl2 = GLOperator(self.mu, Ts)
         self._hmu = self.Ts ** self.mu
         self.z1 = 0.0
         self.z2 = 0.0
@@ -122,11 +118,6 @@ class Feso:
 
     # no q_hat path, so in-loop stepping is the plain update
     loop_step = step
-
-    def reset(self) -> None:
-        self._gl1.reset()
-        self._gl2.reset()
-        self.z1 = self.z2 = self.q_hat = 0.0
 
 
 class Ifeso:
@@ -160,15 +151,14 @@ class Ifeso:
 
     variant = EsoVariant.IFESO
 
-    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float,
-                 memory_len: int | None = None):
+    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
         if not (math.isfinite(Ts) and Ts > 0.0):
             raise ValueError(f"Ts must be positive and finite, got {Ts}")
         self.gains = gains
         self.b = float(b)
         self.mu = _check_order(mu)
         self.Ts = float(Ts)
-        self._gl = GLOperator(self.mu, Ts, memory_len)
+        self._gl = GLOperator(self.mu, Ts)
         self._hmu = self.Ts ** self.mu
         self.z1 = 0.0
         self.z2 = 0.0
@@ -194,18 +184,14 @@ class Ifeso:
         self.z2 = self.z2 + self.Ts * self.gains.beta2 * e
         self.z1 = z1_new
 
-    def reset(self) -> None:
-        self._gl.reset()
-        self.z1 = self.z2 = self.q_hat = 0.0
-
 
 def make_observer(variant: EsoVariant, gains: ObserverGains, b: float,
-                  mu: float, Ts: float, memory_len: int | None = None):
+                  mu: float, Ts: float):
     """Build the observer for `variant`; mu is ignored by the integer one."""
     if variant is EsoVariant.IESO:
         return Ieso(gains, b, Ts)
     if variant is EsoVariant.FESO:
-        return Feso(gains, b, mu, Ts, memory_len)
+        return Feso(gains, b, mu, Ts)
     if variant is EsoVariant.IFESO:
-        return Ifeso(gains, b, mu, Ts, memory_len)
+        return Ifeso(gains, b, mu, Ts)
     raise ValueError(f"unknown observer variant {variant!r}")

@@ -19,8 +19,7 @@ class FracPlant:
     Ts**-mu + a_o != 0.
     """
 
-    def __init__(self, a_o: float, b_o: float, mu: float, Ts: float,
-                 memory_len: int | None = None):
+    def __init__(self, a_o: float, b_o: float, mu: float, Ts: float):
         if not 0.0 < mu < 1.0:
             raise ValueError(f"mu must lie in (0, 1), got {mu}")
         if not math.isfinite(a_o):
@@ -33,8 +32,7 @@ class FracPlant:
         self.b_o = float(b_o)
         self.mu = float(mu)
         self.Ts = float(Ts)
-        self.memory_len = memory_len
-        self.gl = GLOperator(mu, Ts, memory_len)
+        self.gl = GLOperator(mu, Ts)
         self._scale = self.Ts ** -self.mu
         denom = self._scale + self.a_o  # w_0 = 1
         if denom == 0.0:
@@ -60,13 +58,9 @@ class FracPlant:
         self.gl.push(y_new)
         return y_new
 
-    def reset(self) -> None:
-        self.gl.reset()
-
     def with_gain_scale(self, scale: float) -> "FracPlant":
         """Fresh plant with b_o scaled; used for loop-gain robustness runs."""
-        return FracPlant(self.a_o, scale * self.b_o, self.mu, self.Ts,
-                         self.memory_len)
+        return FracPlant(self.a_o, scale * self.b_o, self.mu, self.Ts)
 
 
 @dataclass

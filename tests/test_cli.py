@@ -45,11 +45,27 @@ def test_non_numeric_flag_fails():
     assert run_cli("stability", "--K", "abc") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--memory-len", "10"],
+    ["reproduce", "custom", "--memory-len", "10"],
+])
+def test_unknown_flag_fails(tmp_path, capsys, argv):
+    # the GL history is never truncated, so there is no --memory-len
+    assert run_cli(*argv, "--output-dir", str(tmp_path / "out")) == 1
+    assert argv[-2] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
     cfg.write_text("K = 300\nwibble = 7\n")
     assert run_cli("stability", "--config", str(cfg)) == 1
     assert "wibble" in capsys.readouterr().err
+    cfg.write_text("memory_len = 10\n")
+    assert run_cli("simulate", "--config", str(cfg),
+                   "--output-dir", str(tmp_path / "out")) == 1
+    assert "memory_len" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -258,6 +274,26 @@ def test_sweep_requires_a_mode(tmp_path, capsys):
     assert "--scales" in err or "--param" in err
 
 
+def test_sweep_rejects_both_modes(tmp_path, capsys):
+    # the modes are exclusive: a grid given with --scales is not dropped
+    assert run_cli("sweep", "--scales", "1", "--param", "K",
+                   "--values", "100,200", "--output-dir", str(tmp_path)) == 1
+    assert "not both" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--param", "K", "--values", "100,100.00001"], "step_K_100.csv"),
+    (["--scales", "1,1.0000001"], "step_ifadrc_scale_1.csv"),
+])
+def test_sweep_rejects_values_sharing_a_file_name(tmp_path, capsys, argv,
+                                                  name):
+    assert run_cli("sweep", *argv, "--horizon", "0.01",
+                   "--output-dir", str(tmp_path)) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 # ---------------------------------------------------------------------------
 # bode / mse
 # ---------------------------------------------------------------------------
@@ -317,12 +353,7 @@ def test_reproduce_reads_no_artifact_back(tmp_path, monkeypatch, experiment):
 
 
 def test_reproduce_all_writes_index(tmp_path):
-    assert (
-        run_cli(
-            "reproduce", "all", "--horizon", "0.1", "--output-dir", str(tmp_path)
-        )
-        == 0
-    )
+    assert run_cli("reproduce", "all", "--output-dir", str(tmp_path)) == 0
     index = json.loads((tmp_path / "manifest.json").read_text())
     assert index["command"] == "reproduce all"
     listed = [e["experiment"] for e in index["experiments"]]
@@ -355,5 +386,29 @@ def test_reproduce_unstable_custom_exit_code(tmp_path, capsys):
     assert not (tmp_path / "custom" / "metrics.csv").exists()
 
 
-def test_reproduce_rejects_unknown_id(tmp_path):
+@pytest.mark.parametrize("experiment, flags", [
+    ("fig11", ["--K", "200", "--horizon", "0.1"]),
+    ("fig5", ["--variant", "iadrc"]),
+    ("all", ["--horizon", "0.1"]),
+    ("fig4", ["--config"]),
+])
+def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
+                                                         experiment, flags):
+    # only custom runs the resolved parameters; the figures are fixed
+    if flags == ["--config"]:
+        cfg = tmp_path / "params.cfg"
+        cfg.write_text("K = 200\n")
+        flags = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_cli("reproduce", experiment, *flags,
+                   "--output-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags if flag.startswith("--"))
+    assert not out.exists()
+
+
+def test_reproduce_rejects_unknown_id(tmp_path, capsys):
     assert run_cli("reproduce", "fig99", "--output-dir", str(tmp_path)) == 1
+    assert run_cli("reproduce", "fig99", "--K", "200",
+                   "--output-dir", str(tmp_path)) == 1
+    assert "unknown experiment id 'fig99'" in capsys.readouterr().err

@@ -98,6 +98,14 @@ def test_unknown_experiment_rejected(tmp_path):
         run_experiment(ExperimentSpec(id="fig99", output_dir=tmp_path))
 
 
+@pytest.mark.parametrize("overrides", [{"memory_len": 10}, {"wibble": 1.0}])
+def test_unknown_override_key_rejected(tmp_path, overrides):
+    # the GL history is never truncated, so memory_len is no parameter
+    spec = ExperimentSpec(id="custom", overrides=overrides, output_dir=tmp_path)
+    with pytest.raises(ValueError, match="unknown override keys"):
+        run_experiment(spec)
+
+
 def test_rerun_is_byte_identical(tmp_path):
     import hashlib
 

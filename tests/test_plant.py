@@ -101,15 +101,6 @@ def test_with_gain_scale_returns_fresh_plant():
     assert scaled.step(0.0) == 0.0
 
 
-def test_reset_restores_rest():
-    plant = ref_plant()
-    for _ in range(10):
-        plant.step(1.0)
-    plant.reset()
-    assert plant.y == 0.0
-    assert plant.step(0.0) == 0.0
-
-
 def test_disturbance_input_enters_like_control():
     # d adds inside the drive before the gain split: with b_o=1 the pair
     # (u=1, d=0) and (u=0, d=1) produce identical outputs.
@@ -135,8 +126,6 @@ def test_parameter_validation():
         FracPlant(a_o=10.0, b_o=0.0, mu=0.5, Ts=1e-3)
     with pytest.raises(ValueError):
         FracPlant(a_o=10.0, b_o=1.0, mu=0.5, Ts=0.0)
-    with pytest.raises(ValueError):
-        FracPlant(a_o=10.0, b_o=1.0, mu=0.5, Ts=1e-3, memory_len=0)
 
 
 # ---------------------------------------------------------------------------
