@@ -218,8 +218,8 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
         scales = _parse_float_list(args.scales, "scales")
         names = _file_names(f"step_{params['variant']}_scale_{{:g}}.csv",
                             scales, "scales")
-        outdir.mkdir(parents=True, exist_ok=True)
         trajs = loop_gain_variants(cfg, plant, scales)
+        outdir.mkdir(parents=True, exist_ok=True)
         files = [trajectory_file(outdir, name, traj,
                                  {**params, "gain_scale": scale})
                  for name, scale, traj in zip(names, scales, trajs)]
@@ -227,12 +227,11 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     elif args.param and args.values and not args.scales:
         values = _parse_float_list(args.values, "values")
         names = _file_names(f"step_{args.param}_{{:g}}.csv", values, "values")
+        points = [{**params, args.param: value} for value in values]
+        loops = [make_loop(point) for point in points]  # checks every value
         outdir.mkdir(parents=True, exist_ok=True)
-        files = []
-        for name, value in zip(names, values):
-            point = {**params, args.param: value}
-            files.append(trajectory_file(
-                outdir, name, run_closed_loop(*make_loop(point)), point))
+        files = [trajectory_file(outdir, name, run_closed_loop(*loop), point)
+                 for name, point, loop in zip(names, points, loops)]
         meta = {**params, "param": args.param, "values": values}
     else:
         raise CliError("sweep takes either --scales, or --param with "

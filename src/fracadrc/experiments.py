@@ -177,6 +177,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
     """Execute one experiment; returns the manifest (also written to disk)."""
     if spec.id not in EXPERIMENT_IDS and spec.id != "custom":
         raise ValueError(f"unknown experiment id {spec.id!r}")
+    # the inputs are checked before anything is made on disk
+    params = _params(spec.overrides)
+    if spec.id == "custom":
+        cfg, plant = make_loop(params)
     outdir = Path(spec.output_dir) / spec.id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
@@ -208,12 +212,10 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         manifest_params = params
 
     elif spec.id == "fig10":
-        params = _params(spec.overrides)
         files.append(_stability_file(outdir, params)[1])
         manifest_params = params
 
     elif spec.id == "fig11":
-        params = _params(spec.overrides)
         for variant in AdrcVariant:
             name = f"step_{variant.value}.csv"
             data[name] = traj = run_closed_loop(*make_loop(params, variant))
@@ -222,7 +224,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
         manifest_params = params
 
     elif spec.id in LOOP_GAIN_VARIANTS:
-        params = _params(spec.overrides)
         variant = LOOP_GAIN_VARIANTS[spec.id]
         trajs = loop_gain_variants(*make_loop(params, variant),
                                    LOOP_GAIN_SCALES)
@@ -236,8 +237,6 @@ def run_experiment(spec: ExperimentSpec) -> dict:
                            "scales": list(LOOP_GAIN_SCALES)}
 
     else:  # custom
-        params = _params(spec.overrides)
-        cfg, plant = make_loop(params)
         manifest_params = {**params, "variant": cfg.variant.value}
         report, entry = _stability_file(outdir, params)
         files.append(entry)

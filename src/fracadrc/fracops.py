@@ -4,9 +4,11 @@ Two interchangeable realizations of the order-mu differintegral d^mu/dt^mu:
 a discrete Grunwald-Letnikov (GL) convolution with binomial weights, and a
 band-limited Oustaloup pole/zero ladder approximating s**mu.  The GL form is
 the time-domain engine used by the plant and observers; its streaming history
-sum is exact up to rounding and costs O(n log^2 n) over n samples beyond
-NEAR_WINDOW samples.  The Oustaloup filter exists mainly to cross-validate it
-and for frequency-shaped filtering.
+sum is exact up to rounding.  Below NEAR_WINDOW samples it is one direct dot
+product over the whole history; from there on it sums only the newest
+SHORT_WINDOW - 1 lags directly and costs O(n log^2 n) over n samples.  The
+Oustaloup filter exists mainly to cross-validate it and for frequency-shaped
+filtering.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ def gl_coefficients(mu: float, count: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
-# lags below this are summed directly at every step, older ones come from
-# the blocked FFT far field of GLOperator
+# below this many samples the whole history is summed directly at every
+# step; from there on only lags below SHORT_WINDOW are, and older ones come
+# from the blocked FFT far field of GLOperator
 NEAR_WINDOW = 8192
+SHORT_WINDOW = 512
 
 
 @functools.lru_cache(maxsize=16)
@@ -56,13 +60,16 @@ class GLOperator:
 
     The history sum is exact up to rounding and costs O(n log^2 n) over n
     samples (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
-    1985).  Lags 1 .. NEAR_WINDOW-1 are one direct dot product per step, so
-    below NEAR_WINDOW samples `tail_sum` is that plain dot product bit for
-    bit.  Each lag k >= NEAR_WINDOW lies in exactly one octave [P, 2P),
-    P = NEAR_WINDOW * 2**j.  Whenever the history length n is a multiple of
+    1985).  Below NEAR_WINDOW samples `tail_sum` is one direct dot product
+    over the whole history, bit for bit.  From NEAR_WINDOW samples on, lags
+    1 .. SHORT_WINDOW-1 are one direct dot product per step, and each lag
+    k >= SHORT_WINDOW lies in exactly one octave [P, 2P),
+    P = SHORT_WINDOW * 2**j.  Whenever the history length n is a multiple of
     P, the block x[n-P:n] is convolved with w[P:2P] by one real FFT of
     length 2P and added into a far-field accumulator at n .. n+2P-2, all of
-    which is read at step n or later.
+    which is read at step n or later.  Blocks are flushed lazily, from the
+    first call at NEAR_WINDOW samples on, and a block that feeds no step at
+    or past NEAR_WINDOW is skipped, so no FFT runs below NEAR_WINDOW samples.
     """
 
     # perfbench/tracing.py reads this; the history is never truncated
@@ -76,7 +83,7 @@ class GLOperator:
         self._scale = self.step ** -self.order
         # _wnear[-m:] lines up with the newest m samples of _hist in the sum
         self._wnear = _near_weights(self.order)
-        self._near = NEAR_WINDOW - 1
+        self._wshort = self._wnear[1 - SHORT_WINDOW:]
         self._hist = np.zeros(0)
         self._far = np.zeros(0)
         self._size = 0
@@ -112,15 +119,18 @@ class GLOperator:
         return self._hist[: self._size].copy()
 
     def _flush(self, n: int) -> None:
-        """Add every block that ends at history length `n` to the far field."""
-        P = NEAR_WINDOW
+        """Add every block that ends at history length `n` and feeds a step
+        at or past NEAR_WINDOW to the far field."""
+        P = SHORT_WINDOW
         while n % P == 0:
             nfft = 2 * P
-            seg = gl_coefficients(self.order, nfft)[P:]
-            spec = np.fft.rfft(seg, nfft)
-            del seg  # frees the 2P weights before the next transform
-            spec *= np.fft.rfft(self._hist[n - P : n], nfft)
-            self._far[n : n + nfft - 1] += np.fft.irfft(spec, nfft)[:-1]
+            # the block feeds steps n .. n+2P-2
+            if n + nfft - 2 >= NEAR_WINDOW:
+                seg = gl_coefficients(self.order, nfft)[P:]
+                spec = np.fft.rfft(seg, nfft)
+                del seg  # frees the 2P weights before the next transform
+                spec *= np.fft.rfft(self._hist[n - P : n], nfft)
+                self._far[n : n + nfft - 1] += np.fft.irfft(spec, nfft)[:-1]
             P *= 2
 
     def tail_sum(self) -> float:
@@ -130,15 +140,12 @@ class GLOperator:
         implicit update rules can solve for the newest sample.
         """
         n = self._size
-        m = n if n < self._near else self._near
-        if m == 0:
-            return 0.0
-        tail = float(self._wnear[-m:].dot(self._hist[n - m : n]))
         if n < NEAR_WINDOW:
-            return tail
-        while self._flushed + NEAR_WINDOW <= n:
-            self._flushed += NEAR_WINDOW
+            return float(self._wnear[NEAR_WINDOW - n:].dot(self._hist[:n]))
+        while self._flushed + SHORT_WINDOW <= n:
+            self._flushed += SHORT_WINDOW
             self._flush(self._flushed)
+        tail = float(self._wshort.dot(self._hist[n + 1 - SHORT_WINDOW : n]))
         return tail + self._far.item(n)
 
     def push(self, sample: float) -> None:

@@ -294,6 +294,18 @@ def test_sweep_rejects_values_sharing_a_file_name(tmp_path, capsys, argv,
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--scales", "-1"], "scales must be positive"),
+    (["--param", "K", "--values", "100,-100"], "K must be positive"),
+])
+def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
+                                                            argv, message):
+    assert run_cli("sweep", *argv, "--horizon", "0.01",
+                   "--output-dir", str(tmp_path)) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
 # ---------------------------------------------------------------------------
 # bode / mse
 # ---------------------------------------------------------------------------
@@ -352,23 +364,19 @@ def test_reproduce_reads_no_artifact_back(tmp_path, monkeypatch, experiment):
     assert (tmp_path / experiment / "metrics.csv").is_file()
 
 
-def test_reproduce_all_writes_index(tmp_path):
-    assert run_cli("reproduce", "all", "--output-dir", str(tmp_path)) == 0
-    index = json.loads((tmp_path / "manifest.json").read_text())
-    assert index["command"] == "reproduce all"
-    listed = [e["experiment"] for e in index["experiments"]]
-    assert listed == [f"fig{i}" for i in range(4, 15)]
-    for entry in index["experiments"]:
-        assert Path(entry["manifest"]).is_file()
-
-
 def test_reproduce_all_is_byte_identical_to_reference(tmp_path, monkeypatch):
     # every manifest embeds the output path as given, so run from a fresh
     # directory with the same relative path the reference was made with
     monkeypatch.chdir(tmp_path)
     assert run_cli("reproduce", "all", "--output-dir", "results") == 0
-    reference = json.loads(REPRODUCE_ALL_REFERENCE.read_text())["files"]
     root = tmp_path / "results"
+    index = json.loads((root / "manifest.json").read_text())
+    assert index["command"] == "reproduce all"
+    listed = [e["experiment"] for e in index["experiments"]]
+    assert listed == [f"fig{i}" for i in range(4, 15)]
+    for entry in index["experiments"]:
+        assert Path(entry["manifest"]).is_file()
+    reference = json.loads(REPRODUCE_ALL_REFERENCE.read_text())["files"]
     produced = {p.relative_to(root).as_posix():
                 hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in root.rglob("*") if p.is_file()}

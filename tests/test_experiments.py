@@ -106,6 +106,15 @@ def test_unknown_override_key_rejected(tmp_path, overrides):
         run_experiment(spec)
 
 
+@pytest.mark.parametrize("overrides", [{"memory_len": 10}, {"K": -1.0}])
+def test_rejected_inputs_make_no_directory(tmp_path, overrides):
+    spec = ExperimentSpec(id="custom", overrides=overrides,
+                          output_dir=tmp_path / "out")
+    with pytest.raises(ValueError):
+        run_experiment(spec)
+    assert not (tmp_path / "out").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     import hashlib
 

@@ -17,7 +17,7 @@ from fracadrc import (
     gl_differintegral,
     oustaloup_design,
 )
-from fracadrc.fracops import NEAR_WINDOW
+from fracadrc.fracops import NEAR_WINDOW, SHORT_WINDOW
 
 orders = st.floats(min_value=0.05, max_value=0.95)
 
@@ -158,7 +158,68 @@ def test_long_streaming_matches_batch(mu):
     assert _max_rel_err(stream, batch) < 1e-12
 
 
-def test_operator_reset_and_history():
+def _plain_tail(w, x, n):
+    """The full-history sum sum_{k=1..n} w_k x_{n-k}, and the same sum of
+    magnitudes that bounds its rounding error."""
+    wn, xn = w[n:0:-1], x[:n]
+    return float(np.dot(wn, xn)), float(np.dot(np.abs(wn), np.abs(xn)))
+
+
+@pytest.mark.parametrize("mu", [-0.5, 0.3, 0.8])
+def test_tail_sum_across_the_short_window_switch(mu):
+    # at NEAR_WINDOW samples the direct window shrinks to SHORT_WINDOW - 1
+    # lags and every fine far-field level is read for the first time
+    last = NEAR_WINDOW + 2 * SHORT_WINDOW + 3
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=last + 1)
+    w = gl_coefficients(mu, last + 1)
+    op = GLOperator(order=mu, step=1e-3)
+    for v in x[: NEAR_WINDOW - 7]:
+        op.push(float(v))
+    for n in range(NEAR_WINDOW - 7, last + 1):
+        plain, bound = _plain_tail(w, x, n)
+        if n < NEAR_WINDOW:
+            assert op.tail_sum() == plain
+        else:
+            assert abs(op.tail_sum() - plain) <= 1e-13 * bound
+        op.push(float(x[n]))
+
+
+def test_first_tail_sum_after_pushes_catches_up():
+    # the far-field blocks of a history that was only pushed are flushed at
+    # the first tail_sum, and give what flushing at every step gives
+    n = NEAR_WINDOW + 3 * SHORT_WINDOW + 1
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=n)
+    lazy = GLOperator(order=0.8, step=1e-3)
+    eager = GLOperator(order=0.8, step=1e-3)
+    for v in x:
+        lazy.push(float(v))
+        eager.tail_sum()
+        eager.push(float(v))
+    plain, bound = _plain_tail(gl_coefficients(0.8, n + 1), x, n)
+    assert abs(lazy.tail_sum() - eager.tail_sum()) <= 1e-13 * bound
+    assert abs(lazy.tail_sum() - plain) <= 1e-13 * bound
+
+
+def test_no_fft_below_near_window(monkeypatch):
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted_rfft(*args, **kwargs):
+        calls.append(args)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    op = GLOperator(order=0.8, step=1e-3)
+    for v in np.random.default_rng(7).normal(size=NEAR_WINDOW):
+        op.apply(float(v))
+    assert not calls
+    op.tail_sum()
+    assert calls
+
+
+def test_operator_history():
     # a fresh operator is the only reset; it keeps every sample pushed
     op = GLOperator(order=0.5, step=0.1)
     for v in (1.0, 2.0, 3.0):
