@@ -364,18 +364,31 @@ def test_reproduce_reads_no_artifact_back(tmp_path, monkeypatch, experiment):
     assert (tmp_path / experiment / "metrics.csv").is_file()
 
 
-def test_reproduce_all_is_byte_identical_to_reference(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def reproduce_all_root(tmp_path_factory):
+    """One `reproduce all` run shared by the tests that inspect its tree."""
     # every manifest embeds the output path as given, so run from a fresh
     # directory with the same relative path the reference was made with
-    monkeypatch.chdir(tmp_path)
-    assert run_cli("reproduce", "all", "--output-dir", "results") == 0
-    root = tmp_path / "results"
-    index = json.loads((root / "manifest.json").read_text())
+    workdir = tmp_path_factory.mktemp("reproduce_all")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(workdir)
+        assert run_cli("reproduce", "all", "--output-dir", "results") == 0
+    return workdir / "results"
+
+
+def test_reproduce_all_writes_index(reproduce_all_root, monkeypatch):
+    # the index lists each manifest by the relative path it was written to
+    monkeypatch.chdir(reproduce_all_root.parent)
+    index = json.loads((reproduce_all_root / "manifest.json").read_text())
     assert index["command"] == "reproduce all"
     listed = [e["experiment"] for e in index["experiments"]]
     assert listed == [f"fig{i}" for i in range(4, 15)]
     for entry in index["experiments"]:
         assert Path(entry["manifest"]).is_file()
+
+
+def test_reproduce_all_is_byte_identical_to_reference(reproduce_all_root):
+    root = reproduce_all_root
     reference = json.loads(REPRODUCE_ALL_REFERENCE.read_text())["files"]
     produced = {p.relative_to(root).as_posix():
                 hashlib.sha256(p.read_bytes()).hexdigest()
