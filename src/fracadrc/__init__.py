@@ -12,16 +12,14 @@ from .control import (AdrcConfig, AdrcVariant, SimulationDiverged, Trajectory,
 from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, ExperimentSpec,
                           UnstableConfigError, run_experiment, step_metrics,
                           summarize)
-from .fracops import (GLOperator, OustaloupFilter, frac_pow,
-                      gl_coefficients, gl_differintegral, oustaloup_design)
+from .fracops import GLOperator, frac_pow, gl_coefficients, gl_differintegral
 from .freqdom import (FreqCurve, bode, delta, g_ifio, g_io, ieso_transfer,
                       ifeso_transfer, log_grid, mse_ifio, mse_io)
 from .observers import (EsoVariant, Feso, Ieso, Ifeso, ObserverGains,
                         bandwidth_gains, make_observer)
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
-                        critical_gain, poly_roots, rationalize_order,
-                        sector_test)
+                        poly_roots, rationalize_order, sector_test)
 
 __version__ = "0.1.0"
 
@@ -30,14 +28,13 @@ __all__ = [
     "control_law", "loop_gain_variants", "run_closed_loop",
     "DEFAULT_PARAMS", "EXPERIMENT_IDS", "ExperimentSpec",
     "UnstableConfigError", "run_experiment", "step_metrics", "summarize",
-    "GLOperator", "OustaloupFilter", "frac_pow", "gl_coefficients",
-    "gl_differintegral", "oustaloup_design",
+    "GLOperator", "frac_pow", "gl_coefficients", "gl_differintegral",
     "FreqCurve", "bode", "delta", "g_ifio", "g_io", "ieso_transfer",
     "ifeso_transfer", "log_grid", "mse_ifio", "mse_io",
     "EsoVariant", "Feso", "Ieso", "Ifeso", "ObserverGains",
     "bandwidth_gains", "make_observer",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
-    "CharPoly", "StabilityReport", "build_char_poly", "critical_gain",
-    "poly_roots", "rationalize_order", "sector_test",
+    "CharPoly", "StabilityReport", "build_char_poly", "poly_roots",
+    "rationalize_order", "sector_test",
     "__version__",
 ]

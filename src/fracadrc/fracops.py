@@ -1,24 +1,20 @@
 """Fractional-calculus kernels.
 
-Two interchangeable realizations of the order-mu differintegral d^mu/dt^mu:
-a discrete Grunwald-Letnikov (GL) convolution with binomial weights, and a
-band-limited Oustaloup pole/zero ladder approximating s**mu.  The GL form is
-the time-domain engine used by the plant and observers; its streaming history
-sum is exact up to rounding.  Below NEAR_WINDOW samples it is one direct dot
-product over the whole history; from there on it sums only the newest
-SHORT_WINDOW - 1 lags directly and costs O(n log^2 n) over n samples.  The
-Oustaloup filter exists mainly to cross-validate it and for frequency-shaped
-filtering.
+The order-mu differintegral d^mu/dt^mu as a discrete Grunwald-Letnikov (GL)
+convolution with binomial weights, in two forms: the streaming GLOperator
+that the plant and observers step sample by sample, and gl_differintegral,
+which takes a whole signal at once through numpy's real FFT.  The streaming
+history sum is exact up to rounding.  Below NEAR_WINDOW samples it is one
+direct dot product over the whole history; from there on it sums only the
+newest SHORT_WINDOW - 1 lags directly and costs O(n log^2 n) over n samples.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as _signal
 
 
 def gl_coefficients(mu: float, count: int) -> np.ndarray:
@@ -166,7 +162,8 @@ def gl_differintegral(x, mu: float, step: float) -> np.ndarray:
 
     Zero history is assumed before the first sample and a value is returned
     at every sample.  Numerically equivalent to streaming GLOperator.apply
-    over `x`, but computed as a single FFT convolution.
+    over `x`, but computed as one zero-padded real FFT convolution of
+    length 2n.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -175,9 +172,10 @@ def gl_differintegral(x, mu: float, step: float) -> np.ndarray:
         raise ValueError("x must be one-dimensional")
     if x.size == 0:
         return x.copy()
-    w = gl_coefficients(mu, x.size)
-    y = _signal.fftconvolve(x, w)[: x.size]
-    return (step ** -mu) * y
+    n = x.size
+    spec = np.fft.rfft(gl_coefficients(mu, n), 2 * n)
+    spec *= np.fft.rfft(x, 2 * n)
+    return (step ** -mu) * np.fft.irfft(spec, 2 * n)[:n]
 
 
 def frac_pow(s, mu: float) -> complex:
@@ -192,88 +190,3 @@ def frac_pow(s, mu: float) -> complex:
             return 0j
         raise ValueError(f"s**mu undefined at s=0 for mu <= 0 (mu={mu})")
     return s ** mu
-
-
-@dataclass
-class OustaloupFilter:
-    """Band-limited rational approximation of s**order.
-
-    A ladder of 2*n_cells + 1 real zero/pole pairs spread log-evenly over
-    [band_low, band_high] rad/s.  `zeros` and `poles` hold the actual
-    (negative real) root locations; `freq_response` evaluates the continuous
-    filter, while `filter_signal` runs the bilinear discretization attached
-    via `attach_discretization`.
-    """
-
-    order: float
-    band_low: float
-    band_high: float
-    n_cells: int
-    zeros: np.ndarray
-    poles: np.ndarray
-    gain: float
-    step: float | None = None
-    _sos: np.ndarray | None = field(default=None, repr=False)
-
-    def freq_response(self, s):
-        """Continuous response H(s); accepts a complex scalar or array."""
-        arr = np.asarray(s, dtype=complex)
-        num = np.prod(arr[..., None] - self.zeros, axis=-1)
-        den = np.prod(arr[..., None] - self.poles, axis=-1)
-        out = self.gain * num / den
-        if arr.ndim == 0:
-            return complex(out)
-        return out
-
-    def attach_discretization(self, step: float) -> None:
-        """Bilinear-map the ladder to sample time `step`."""
-        if not (math.isfinite(step) and step > 0.0):
-            raise ValueError(f"step must be positive and finite, got {step}")
-        zd, pd, kd = _signal.bilinear_zpk(self.zeros, self.poles, self.gain,
-                                          fs=1.0 / step)
-        self._sos = _signal.zpk2sos(zd, pd, kd)
-        self.step = step
-
-    def filter_signal(self, x) -> np.ndarray:
-        """Filter a whole signal from zero initial state."""
-        sos = self._sos
-        if sos is None:
-            raise RuntimeError("filter not discretized; call "
-                               "attach_discretization or pass step= to "
-                               "oustaloup_design")
-        zi = np.zeros((sos.shape[0], 2))
-        y, _ = _signal.sosfilt(sos, np.asarray(x, dtype=float), zi=zi)
-        return y
-
-
-def oustaloup_design(mu: float, band_low: float = 1e-2, band_high: float = 1e4,
-                     n_cells: int = 5, step: float | None = None) -> OustaloupFilter:
-    """Design the recursive band-limited approximation of s**mu.
-
-    Zero/pole break frequencies follow the standard geometric recursion over
-    the band; the high-frequency gain is band_high**mu.  Negative orders are
-    built by inverting the ladder for |mu|.
-    """
-    if not 0.0 < abs(mu) < 1.0:
-        raise ValueError(f"|mu| must lie in (0, 1), got {mu}")
-    if not 0.0 < band_low < band_high:
-        raise ValueError(f"need 0 < band_low < band_high, got "
-                         f"[{band_low}, {band_high}]")
-    if n_cells < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
-    n = n_cells
-    r = abs(mu)
-    ratio = band_high / band_low
-    k = np.arange(-n, n + 1, dtype=float)
-    zeros = -band_low * ratio ** ((k + n + 0.5 * (1.0 - r)) / (2 * n + 1))
-    poles = -band_low * ratio ** ((k + n + 0.5 * (1.0 + r)) / (2 * n + 1))
-    gain = band_high ** r
-    if mu < 0:
-        zeros, poles = poles, zeros
-        gain = band_high ** mu
-    filt = OustaloupFilter(order=float(mu), band_low=float(band_low),
-                           band_high=float(band_high), n_cells=n_cells,
-                           zeros=zeros, poles=poles, gain=float(gain))
-    if step is not None:
-        filt.attach_discretization(step)
-    return filt

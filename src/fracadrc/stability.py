@@ -181,31 +181,3 @@ def loop_sector_test(b: float, b_o: float, a_o: float, K: float,
                            p, q_den)
     return poly, sector_test(poly)
 
-
-def critical_gain(b: float, b_o: float, a_o: float, mu: float, omega_o: float,
-                  k_low: float = 1e-2, k_high: float = 1e9,
-                  rel_tol: float = 1e-6) -> float | None:
-    """Smallest K at which the sector test first fails when sweeping upward
-    from k_low; None if the loop stays stable all the way to k_high."""
-
-    def stable(K: float) -> bool:
-        return loop_sector_test(b, b_o, a_o, K, omega_o, mu)[1].stable
-
-    if not stable(k_low):
-        return k_low
-    lo = k_low
-    hi = k_low
-    while True:
-        if hi >= k_high:
-            return None
-        hi = min(2.0 * hi, k_high)
-        if not stable(hi):
-            break
-        lo = hi
-    while hi / lo > 1.0 + rel_tol:
-        mid = math.sqrt(lo * hi)
-        if stable(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi

@@ -1,5 +1,11 @@
-"""Shared constants and factories for the test suite."""
+"""Shared constants, factories and oracles for the test suite."""
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+# imported here, not inside a test, so that no timed region pays for it
+from scipy import signal
 
 from fracadrc import AdrcConfig, FracPlant
 
@@ -34,3 +40,48 @@ def ref_config(**overrides) -> AdrcConfig:
     }
     kw.update(overrides)
     return AdrcConfig(**kw)
+
+
+@dataclass
+class Oustaloup:
+    """Band-limited rational approximation of s**mu (Oustaloup et al.,
+    IEEE TCAS-I 47(1), 2000): 2*n_cells + 1 real zero/pole pairs spread
+    log-evenly over [band_low, band_high] rad/s.  An oracle for the GL
+    kernel that shares none of its code."""
+
+    band_low: float
+    band_high: float
+    n_cells: int
+    zeros: np.ndarray
+    poles: np.ndarray
+    gain: float
+
+    def freq_response(self, s):
+        """Continuous response H(s) at a complex array `s`."""
+        s = np.asarray(s, dtype=complex)[..., None]
+        return (self.gain * np.prod(s - self.zeros, axis=-1)
+                / np.prod(s - self.poles, axis=-1))
+
+    def filter_signal(self, x, step: float) -> np.ndarray:
+        """Filter a whole signal from zero state through the bilinear
+        discretization at sample time `step`."""
+        zd, pd, kd = signal.bilinear_zpk(self.zeros, self.poles, self.gain,
+                                         fs=1.0 / step)
+        return signal.sosfilt(signal.zpk2sos(zd, pd, kd),
+                              np.asarray(x, dtype=float))
+
+
+def oustaloup(mu: float, band_low: float = 1e-2, band_high: float = 1e4,
+              n_cells: int = 5) -> Oustaloup:
+    """The ladder for s**mu; negative orders invert the ladder for |mu|."""
+    n = n_cells
+    r = abs(mu)
+    ratio = band_high / band_low
+    k = np.arange(-n, n + 1, dtype=float)
+    zeros = -band_low * ratio ** ((k + n + 0.5 * (1.0 - r)) / (2 * n + 1))
+    poles = -band_low * ratio ** ((k + n + 0.5 * (1.0 + r)) / (2 * n + 1))
+    gain = band_high ** r
+    if mu < 0:
+        zeros, poles = poles, zeros
+        gain = band_high ** mu
+    return Oustaloup(band_low, band_high, n_cells, zeros, poles, gain)

@@ -31,7 +31,6 @@ from fracadrc import (
     loop_gain_variants,
     mse_ifio,
     mse_io,
-    oustaloup_design,
     poly_roots,
     rationalize_order,
     run_closed_loop,
@@ -39,7 +38,7 @@ from fracadrc import (
     step_metrics,
 )
 
-from helpers import REF, ref_config, ref_plant
+from helpers import REF, oustaloup, ref_config, ref_plant
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -245,7 +244,7 @@ def test_criterion_7_kernel_oracles():
     tt = np.arange(0, 10.0, Ts)
     x = np.sin(tt)
     via_gl = gl_differintegral(x, 0.6, Ts)
-    via_filter = oustaloup_design(0.6, step=Ts).filter_signal(x)
+    via_filter = oustaloup(0.6).filter_signal(x, Ts)
     sel = tt >= 2.0
     cross_rms = float(
         np.sqrt(np.mean((via_gl[sel] - via_filter[sel]) ** 2))

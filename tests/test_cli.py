@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +17,8 @@ from fracadrc.cli import main
 
 from helpers import ref_config, ref_plant
 
-REPRODUCE_ALL_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
-                           / "reference" / "reproduce-all.json")
+ROOT = Path(__file__).resolve().parents[1]
+REPRODUCE_ALL_REFERENCE = ROOT / "perfbench" / "reference" / "reproduce-all.json"
 
 
 def run_cli(*argv) -> int:
@@ -433,3 +436,27 @@ def test_reproduce_rejects_unknown_id(tmp_path, capsys):
     assert run_cli("reproduce", "fig99", "--K", "200",
                    "--output-dir", str(tmp_path)) == 1
     assert "unknown experiment id 'fig99'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+# ---------------------------------------------------------------------------
+
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import fracadrc.cli
+loaded = [m for m in sys.modules if m.startswith("scipy") and m != "scipy"]
+assert not loaded and sys.modules["scipy"] is None, loaded
+for argv in (["stability"], ["simulate", "--horizon", "0.05"], ["bode"],
+             ["mse"], ["reproduce", "fig5"]):
+    assert fracadrc.cli.main(argv) == 0, argv
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

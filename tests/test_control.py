@@ -22,7 +22,6 @@ from fracadrc import (
     control_law,
     gl_differintegral,
     loop_gain_variants,
-    oustaloup_design,
     reconstruct_disturbances,
     run_closed_loop,
 )
@@ -157,8 +156,6 @@ def test_config_validation():
     pytest.param(lambda v: GLOperator(0.8, v), id="GLOperator.step"),
     pytest.param(lambda v: gl_differintegral(np.ones(4), 0.8, v),
                  id="gl_differintegral.step"),
-    pytest.param(lambda v: oustaloup_design(0.5).attach_discretization(v),
-                 id="OustaloupFilter.step"),
 ])
 def test_constructors_reject_non_finite_values(build, value):
     with pytest.raises(ValueError):
