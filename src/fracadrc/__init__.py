@@ -15,8 +15,7 @@ from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, ExperimentSpec,
 from .fracops import GLOperator, frac_pow, gl_coefficients, gl_differintegral
 from .freqdom import (FreqCurve, bode, delta, g_ifio, g_io, ieso_transfer,
                       ifeso_transfer, log_grid, mse_ifio, mse_io)
-from .observers import (EsoVariant, Feso, Ieso, Ifeso, ObserverGains,
-                        bandwidth_gains, make_observer)
+from .observers import Feso, Ieso, Ifeso, ObserverGains, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
                         poly_roots, rationalize_order, sector_test)
@@ -31,8 +30,7 @@ __all__ = [
     "GLOperator", "frac_pow", "gl_coefficients", "gl_differintegral",
     "FreqCurve", "bode", "delta", "g_ifio", "g_io", "ieso_transfer",
     "ifeso_transfer", "log_grid", "mse_ifio", "mse_io",
-    "EsoVariant", "Feso", "Ieso", "Ifeso", "ObserverGains",
-    "bandwidth_gains", "make_observer",
+    "Feso", "Ieso", "Ifeso", "ObserverGains", "bandwidth_gains",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
     "CharPoly", "StabilityReport", "build_char_poly", "poly_roots",
     "rationalize_order", "sector_test",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .observers import EsoVariant, bandwidth_gains, make_observer
+from .observers import Feso, Ieso, Ifeso, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant
 
 DIVERGENCE_LIMIT = 1e9
@@ -26,12 +26,6 @@ class AdrcVariant(enum.Enum):
     IADRC = "iadrc"
     FADRC = "fadrc"
     IFADRC = "ifadrc"
-
-    @property
-    def observer(self) -> EsoVariant:
-        return {AdrcVariant.IADRC: EsoVariant.IESO,
-                AdrcVariant.FADRC: EsoVariant.FESO,
-                AdrcVariant.IFADRC: EsoVariant.IFESO}[self]
 
 
 class SimulationDiverged(RuntimeError):
@@ -136,13 +130,14 @@ def render_reference(v_d, t: np.ndarray) -> np.ndarray:
     return vd
 
 
-def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
-                    divergence_limit: float = DIVERGENCE_LIMIT) -> Trajectory:
+def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0,
+                    d: DisturbanceSignal | None = None) -> Trajectory:
     """Simulate one closed loop and record every signal per sample.
 
     The plant must be fresh (zero history) and share the config sample
-    time; the observer order follows the plant.  Raises SimulationDiverged
-    as soon as the output goes non-finite or beyond `divergence_limit`.
+    time; the observer order follows the plant.  `d` is a DisturbanceSignal
+    (None for no disturbance).  Raises SimulationDiverged as soon as the
+    output goes non-finite or beyond DIVERGENCE_LIMIT.
     """
     if abs(plant.Ts - cfg.Ts) > 1e-15:
         raise ValueError(f"plant Ts {plant.Ts} != config Ts {cfg.Ts}")
@@ -153,16 +148,18 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
         raise ValueError("horizon shorter than one sample")
     t = np.arange(n) * cfg.Ts
     vd = render_reference(v_d, t)
-    dsig = d if d is not None else DisturbanceSignal.zero()
-    darr = dsig.render(t) if isinstance(dsig, DisturbanceSignal) \
-        else np.asarray(dsig, dtype=float)[:n]
-    if darr.size != n:
-        raise ValueError("disturbance record shorter than horizon")
-    if not np.all(np.isfinite(darr)):
-        raise ValueError("disturbance must be finite")
+    if d is not None and not isinstance(d, DisturbanceSignal):
+        raise TypeError(f"d must be a DisturbanceSignal or None, "
+                        f"got {type(d).__name__}")
+    darr = (d if d is not None else DisturbanceSignal.zero()).render(t)
 
-    obs = make_observer(cfg.variant.observer, bandwidth_gains(cfg.omega_o),
-                        cfg.b, plant.mu, cfg.Ts)
+    gains = bandwidth_gains(cfg.omega_o)
+    if cfg.variant is AdrcVariant.IADRC:
+        obs = Ieso(gains, cfg.b, cfg.Ts)
+    elif cfg.variant is AdrcVariant.FADRC:
+        obs = Feso(gains, cfg.b, plant.mu, cfg.Ts)
+    else:
+        obs = Ifeso(gains, cfg.b, plant.mu, cfg.Ts)
     ya = np.empty(n)
     ua = np.empty(n)
     u0a = np.empty(n)
@@ -173,8 +170,8 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
     y = 0.0
     u_prev = 0.0
     for k in range(n):
-        # in-loop observer form: for the q_hat-bearing observer this keeps
-        # the drive's +q_hat aligned with the -q_hat the control carries
+        # stepping on the previous u keeps the improved observer's drive
+        # +q_hat aligned with the -q_hat the control carries
         obs.loop_step(u_prev, y)
         u0 = cfg.K * (vd[k] - obs.z1)
         u = control_law(u0, obs.z2, obs.q_hat, cfg.b)
@@ -185,7 +182,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0, d=None,
         z2a[k] = obs.z2
         qha[k] = obs.q_hat
         y = plant.step(u, darr[k])
-        if not math.isfinite(y) or abs(y) > divergence_limit:
+        if not math.isfinite(y) or abs(y) > DIVERGENCE_LIMIT:
             raise SimulationDiverged(k, float(y))
         u_prev = u
     return Trajectory(t=t, v_d=vd, y=ya, u=ua, u0=u0a, z1=z1a, z2=z2a,

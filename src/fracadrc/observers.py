@@ -6,22 +6,19 @@ Three variants share one interface (step(u, y), then read z1/z2/q_hat):
 * Feso  -- both states advance at the plant's fractional order;
 * Ifeso -- fractional z1, integer z2, plus an estimate q_hat of the
            mismatch between the integer and fractional derivatives of the
-           plant output.
+           plant output: Euler on z1 with the previous q_hat in the drive,
+           and q_hat set to that drive minus the GL derivative of z1.
+
+Each variant has one update, `step`; `loop_step` is the same function
+under the name the closed-loop engine calls.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 from .fracops import GLOperator
-
-
-class EsoVariant(enum.Enum):
-    IESO = "ieso"
-    FESO = "feso"
-    IFESO = "ifeso"
 
 
 @dataclass(frozen=True)
@@ -30,7 +27,6 @@ class ObserverGains:
 
     beta1: float
     beta2: float
-    omega_o: float | None = None
 
     def __post_init__(self):
         if not all(math.isfinite(g) and g > 0.0
@@ -44,7 +40,7 @@ def bandwidth_gains(omega_o: float) -> ObserverGains:
     beta1 = 2*omega_o, beta2 = omega_o**2."""
     if not (math.isfinite(omega_o) and omega_o > 0.0):
         raise ValueError(f"omega_o must be positive and finite, got {omega_o}")
-    return ObserverGains(2.0 * omega_o, omega_o * omega_o, float(omega_o))
+    return ObserverGains(2.0 * omega_o, omega_o * omega_o)
 
 
 def _check_order(mu: float) -> float:
@@ -55,10 +51,8 @@ def _check_order(mu: float) -> float:
     return float(mu)
 
 
-class Ieso:
-    """Integer-order ESO: z1 tracks y, z2 the lumped disturbance."""
-
-    variant = EsoVariant.IESO
+class _Eso:
+    """State shared by every variant; starts at rest."""
 
     def __init__(self, gains: ObserverGains, b: float, Ts: float):
         if not (math.isfinite(Ts) and Ts > 0.0):
@@ -68,7 +62,11 @@ class Ieso:
         self.Ts = float(Ts)
         self.z1 = 0.0
         self.z2 = 0.0
-        self.q_hat = 0.0  # identically zero for this variant
+        self.q_hat = 0.0  # identically zero unless the variant produces it
+
+
+class Ieso(_Eso):
+    """Integer-order ESO: z1 tracks y, z2 the lumped disturbance."""
 
     def step(self, u: float, y: float) -> None:
         e = y - self.z1
@@ -77,11 +75,10 @@ class Ieso:
         self.z1 += self.Ts * dz1
         self.z2 += self.Ts * dz2
 
-    # no q_hat path, so in-loop stepping is the plain update
     loop_step = step
 
 
-class Feso:
+class Feso(_Eso):
     """Fractional ESO: both observer states advance at order mu.
 
     Each state solves its GL relation for the newest sample with the
@@ -89,21 +86,12 @@ class Feso:
     at mu = 1).
     """
 
-    variant = EsoVariant.FESO
-
     def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
-        if not (math.isfinite(Ts) and Ts > 0.0):
-            raise ValueError(f"Ts must be positive and finite, got {Ts}")
-        self.gains = gains
-        self.b = float(b)
+        super().__init__(gains, b, Ts)
         self.mu = _check_order(mu)
-        self.Ts = float(Ts)
         self._gl1 = GLOperator(self.mu, Ts)
         self._gl2 = GLOperator(self.mu, Ts)
         self._hmu = self.Ts ** self.mu
-        self.z1 = 0.0
-        self.z2 = 0.0
-        self.q_hat = 0.0  # not produced by this variant
 
     def step(self, u: float, y: float) -> None:
         e = y - self.z1
@@ -116,65 +104,32 @@ class Feso:
         self.z1 = z1_new
         self.z2 = z2_new
 
-    # no q_hat path, so in-loop stepping is the plain update
     loop_step = step
 
 
-class Ifeso:
+class Ifeso(_Eso):
     """Improved fractional ESO: adds the derivative-mismatch output q_hat.
 
     Continuously the observer is dz1/dt = z2 + b*u + q_hat + beta1*(y - z1)
     with q_hat = dz1/dt - D^mu z1, which resolves algebraically to the
-    fractional relation D^mu z1 = z2 + b*u + beta1*(y - z1).  The two
-    relations are equivalent, but a fixed-step realization can only keep
-    one of them exact, and the right choice depends on how the observer is
-    driven:
+    fractional relation D^mu z1 = z2 + b*u + beta1*(y - z1).
 
-    * `step` keeps the fractional relation exact (GL solve for z1, q_hat by
-      backward differencing).  Stable filter for any exogenous bounded
-      (u, y) at any order, so it is the form for running the observer over
-      recorded data.  Inside the compensating loop, however, u carries
-      -q_hat/b, and with the unavoidable one-sample lag that feedback path
-      has gain Ts**(mu - 1) -- divergent at practical sample rates.
-    * `loop_step` keeps the integer relation exact (Euler on z1 with the
-      previous q_hat in the drive; q_hat then compares that drive against a
-      GL differentiation of z1).  When u is the compensating control, the
-      q_hat inside b*u cancels the q_hat in the drive sample for sample,
-      which reproduces the exact continuous cancellation and keeps the loop
-      stable at any order.  Driven open loop at small orders its q_hat
-      self-feed corrects too slowly and can ring up, so it stays in-loop.
-
-    Both share one GL history on z1, and both collapse to Ieso bit for bit
-    at mu = 1 (the GL weights reduce to a first difference and q_hat
-    vanishes).
+    The fixed-step realization keeps the integer relation exact: z1 takes
+    an Euler step whose drive carries the previous q_hat, and q_hat is then
+    that drive minus a GL differentiation of z1 (one GL history, on z1).
+    When u is the compensating control, the q_hat inside b*u cancels the
+    q_hat in the drive sample for sample, which reproduces the exact
+    continuous cancellation.  At mu = 1 the GL weights reduce to a first
+    difference, q_hat vanishes up to rounding and the update collapses to
+    Ieso.
     """
 
-    variant = EsoVariant.IFESO
-
     def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
-        if not (math.isfinite(Ts) and Ts > 0.0):
-            raise ValueError(f"Ts must be positive and finite, got {Ts}")
-        self.gains = gains
-        self.b = float(b)
+        super().__init__(gains, b, Ts)
         self.mu = _check_order(mu)
-        self.Ts = float(Ts)
         self._gl = GLOperator(self.mu, Ts)
-        self._hmu = self.Ts ** self.mu
-        self.z1 = 0.0
-        self.z2 = 0.0
-        self.q_hat = 0.0
 
     def step(self, u: float, y: float) -> None:
-        e = y - self.z1
-        rhs = self.z2 + self.b * u + self.gains.beta1 * e
-        z1_new = self._hmu * rhs - self._gl.tail_sum()
-        self._gl.push(z1_new)
-        # rhs is D^mu z1 at the new sample by construction of the GL solve
-        self.q_hat = (z1_new - self.z1) / self.Ts - rhs
-        self.z2 = self.z2 + self.Ts * self.gains.beta2 * e
-        self.z1 = z1_new
-
-    def loop_step(self, u: float, y: float) -> None:
         e = y - self.z1
         rhs = self.z2 + self.b * u + self.q_hat + self.gains.beta1 * e
         z1_new = self.z1 + self.Ts * rhs
@@ -184,14 +139,4 @@ class Ifeso:
         self.z2 = self.z2 + self.Ts * self.gains.beta2 * e
         self.z1 = z1_new
 
-
-def make_observer(variant: EsoVariant, gains: ObserverGains, b: float,
-                  mu: float, Ts: float):
-    """Build the observer for `variant`; mu is ignored by the integer one."""
-    if variant is EsoVariant.IESO:
-        return Ieso(gains, b, Ts)
-    if variant is EsoVariant.FESO:
-        return Feso(gains, b, mu, Ts)
-    if variant is EsoVariant.IFESO:
-        return Ifeso(gains, b, mu, Ts)
-    raise ValueError(f"unknown observer variant {variant!r}")
+    loop_step = step

@@ -86,6 +86,10 @@ class DisturbanceSignal:
             self.samples = np.asarray(self.samples, dtype=float)
             if not np.all(np.isfinite(self.samples)):
                 raise ValueError("disturbance samples must be finite")
+        if self.kind == "samples" and self.samples is None:
+            raise ValueError("disturbance kind 'samples' needs samples")
+        if self.kind != "samples" and self.samples is not None:
+            raise ValueError(f"disturbance kind {self.kind!r} takes no samples")
 
     @classmethod
     def zero(cls) -> "DisturbanceSignal":
@@ -112,7 +116,7 @@ class DisturbanceSignal:
             return self.amplitude * (t >= self.onset).astype(float)
         if self.kind == "sinusoid":
             return self.amplitude * np.sin(self.frequency * t)
-        if self.samples is None or self.samples.size < t.size:
+        if self.samples.size < t.size:
             raise ValueError("disturbance sample record shorter than horizon")
         return self.samples[: t.size].copy()
 

@@ -145,9 +145,6 @@ def test_config_validation():
     pytest.param(lambda v: render_reference(lambda tk: v if tk > 0 else 1.0,
                                             np.arange(4) * 1e-3),
                  id="render_reference.callable"),
-    pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.01),
-                                           ref_plant(), d=np.full(80, v)),
-                 id="run_closed_loop.d"),
     pytest.param(lambda v: Ieso(bandwidth_gains(400.0), 1.0, v), id="Ieso.Ts"),
     pytest.param(lambda v: Feso(bandwidth_gains(400.0), 1.0, 0.8, v),
                  id="Feso.Ts"),
@@ -160,6 +157,27 @@ def test_config_validation():
 def test_constructors_reject_non_finite_values(build, value):
     with pytest.raises(ValueError):
         build(value)
+
+
+def test_each_variant_runs_its_own_observer(monkeypatch):
+    seen = []
+    for cls in (Ieso, Feso, Ifeso):
+        def spy(self, u, y, step=cls.step):
+            seen.append(type(self))
+            step(self, u, y)
+        monkeypatch.setattr(cls, "loop_step", spy)
+    expected = {AdrcVariant.IADRC: Ieso, AdrcVariant.FADRC: Feso,
+                AdrcVariant.IFADRC: Ifeso}
+    for variant, cls in expected.items():
+        seen.clear()
+        run_closed_loop(ref_config(variant=variant, horizon=0.001), ref_plant())
+        assert seen == [cls] * 8  # 1 ms at 8 kHz
+
+
+def test_disturbance_must_be_a_signal():
+    with pytest.raises(TypeError, match="DisturbanceSignal"):
+        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+                        d=np.zeros(80))
 
 
 def test_divergence_raises_with_step_index():

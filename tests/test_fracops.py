@@ -391,14 +391,6 @@ def test_negative_order_design_attenuates():
     assert mag == pytest.approx(10.0**-0.5, rel=0.26)
 
 
-def test_discretized_streaming_matches_batch_filtering():
-    f = oustaloup(0.5)
-    x = np.sin(np.arange(500) * 1e-3 * 20.0)
-    batch = f.filter_signal(x, 1e-3)
-    again = f.filter_signal(x, 1e-3)
-    np.testing.assert_allclose(again, batch, rtol=1e-12, atol=1e-14)
-
-
 def test_gl_and_rational_approximation_agree_on_sine():
     # Two independent realizations of d^0.6/dt^0.6 applied to sin(t):
     # the convolution kernel and the discretized pole-zero ladder agree

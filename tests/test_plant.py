@@ -164,6 +164,13 @@ def test_disturbance_rejects_unknown_kind():
         DisturbanceSignal(kind="ramp").render(np.linspace(0, 1, 3))
 
 
+def test_disturbance_samples_go_with_the_samples_kind_only():
+    with pytest.raises(ValueError, match="needs samples"):
+        DisturbanceSignal(kind="samples")
+    with pytest.raises(ValueError, match="takes no samples"):
+        DisturbanceSignal(kind="step", amplitude=1.0, samples=[5.0, 5.0])
+
+
 # ---------------------------------------------------------------------------
 # Lumped-disturbance reconstruction
 # ---------------------------------------------------------------------------
