@@ -9,30 +9,30 @@ analysis, and closed-form disturbance-estimation error curves.
 
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged, Trajectory,
                       control_law, loop_gain_variants, run_closed_loop)
-from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, ExperimentSpec,
-                          UnstableConfigError, run_experiment, step_metrics,
-                          summarize)
+from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, UnstableConfigError,
+                          run_experiment, step_metrics, summarize)
 from .fracops import GLOperator, frac_pow, gl_coefficients, gl_differintegral
 from .freqdom import (FreqCurve, bode, delta, g_ifio, g_io, ieso_transfer,
                       ifeso_transfer, log_grid, mse_ifio, mse_io)
 from .observers import Feso, Ieso, Ifeso, ObserverGains, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
-                        poly_roots, rationalize_order, sector_test)
+                        loop_sector_test, poly_roots, rationalize_order,
+                        sector_test)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdrcConfig", "AdrcVariant", "SimulationDiverged", "Trajectory",
     "control_law", "loop_gain_variants", "run_closed_loop",
-    "DEFAULT_PARAMS", "EXPERIMENT_IDS", "ExperimentSpec",
-    "UnstableConfigError", "run_experiment", "step_metrics", "summarize",
+    "DEFAULT_PARAMS", "EXPERIMENT_IDS", "UnstableConfigError",
+    "run_experiment", "step_metrics", "summarize",
     "GLOperator", "frac_pow", "gl_coefficients", "gl_differintegral",
     "FreqCurve", "bode", "delta", "g_ifio", "g_io", "ieso_transfer",
     "ifeso_transfer", "log_grid", "mse_ifio", "mse_io",
     "Feso", "Ieso", "Ifeso", "ObserverGains", "bandwidth_gains",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
-    "CharPoly", "StabilityReport", "build_char_poly", "poly_roots",
-    "rationalize_order", "sector_test",
+    "CharPoly", "StabilityReport", "build_char_poly", "loop_sector_test",
+    "poly_roots", "rationalize_order", "sector_test",
     "__version__",
 ]

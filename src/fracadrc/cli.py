@@ -17,9 +17,9 @@ from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       loop_gain_variants, run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
-                          ExperimentSpec, UnstableConfigError, bode_files,
-                          make_loop, mse_curves, mse_file, run_experiment,
-                          step_metrics, trajectory_file, write_manifest)
+                          UnstableConfigError, bode_files, make_loop,
+                          mse_curves, mse_file, run_experiment, step_metrics,
+                          trajectory_file, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
@@ -53,7 +53,8 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--Ts", type=float, help="sample time, seconds")
     p.add_argument("--horizon", type=float, help="simulation length, seconds")
     p.add_argument("--variant", choices=[v.value for v in AdrcVariant],
-                   help="controller structure (default ifadrc)")
+                   help="controller structure "
+                        f"(default {AdrcConfig.variant.value})")
     p.add_argument("--output-dir", default="results",
                    help="artifact root directory (default: results)")
 
@@ -152,8 +153,7 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
     """Defaults, then the --config file, then the flags.  Returns the
     parameters with the config and plant built from them; their
     constructors are the only check on the values."""
-    params = dict(DEFAULT_PARAMS)
-    params["variant"] = "ifadrc"
+    params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value}
     if getattr(args, "config", None):
         params.update(load_config_file(args.config))
     for key in PARAM_KEYS:
@@ -275,8 +275,7 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 
 def cmd_stability(args, params: dict, cfg: AdrcConfig,
                   plant: FracPlant) -> int:
-    _, report = loop_sector_test(params["b"], params["b_o"], params["a_o"],
-                                 params["K"], params["omega_o"], params["mu"])
+    _, report = loop_sector_test(cfg, plant)
     verdict = "stable" if report.stable else "unstable"
     if report.marginal:
         verdict += " (marginal)"
@@ -304,10 +303,8 @@ def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
     manifests = []
     for exp_id in ids:
         # custom runs the resolved parameters
-        overrides = params if exp_id == "custom" else {}
-        spec = ExperimentSpec(id=exp_id, overrides=overrides,
-                              output_dir=args.output_dir)
-        manifest = run_experiment(spec)
+        manifest = run_experiment(exp_id, args.output_dir,
+                                  params if exp_id == "custom" else None)
         manifests.append(manifest)
         print(f"{exp_id}: {len(manifest['files'])} artifacts under "
               f"{manifest['directory']}")
@@ -328,7 +325,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, *resolve_params(args))
-    except ValueError as exc:  # CliError is a ValueError
+    except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:

@@ -52,8 +52,9 @@ class AdrcConfig:
     horizon: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.variant, str):
-            self.variant = AdrcVariant(self.variant.lower())
+        variant = self.variant
+        self.variant = AdrcVariant(variant.lower() if isinstance(variant, str)
+                                   else variant)
         for name in ("K", "omega_o", "Ts", "horizon"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
@@ -112,32 +113,15 @@ def control_law(u0: float, z2: float, q_hat: float, b: float) -> float:
     return (u0 - z2 - q_hat) / b
 
 
-def render_reference(v_d, t: np.ndarray) -> np.ndarray:
-    """Reference signal on grid `t`: scalar (constant), array, or callable.
-    Every rendered value must be finite."""
-    if callable(v_d):
-        vd = np.asarray([float(v_d(tk)) for tk in t])
-    else:
-        arr = np.asarray(v_d, dtype=float)
-        if arr.ndim == 0:
-            vd = np.full(t.size, float(arr))
-        elif arr.size < t.size:
-            raise ValueError("reference record shorter than horizon")
-        else:
-            vd = arr[: t.size].astype(float)
-    if not np.all(np.isfinite(vd)):
-        raise ValueError("reference must be finite")
-    return vd
-
-
-def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0,
+def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
                     d: DisturbanceSignal | None = None) -> Trajectory:
     """Simulate one closed loop and record every signal per sample.
 
     The plant must be fresh (zero history) and share the config sample
-    time; the observer order follows the plant.  `d` is a DisturbanceSignal
-    (None for no disturbance).  Raises SimulationDiverged as soon as the
-    output goes non-finite or beyond DIVERGENCE_LIMIT.
+    time; the observer order follows the plant.  `v_d` is the constant
+    reference, a finite number; `d` is a DisturbanceSignal (None for no
+    disturbance).  Raises SimulationDiverged as soon as the output goes
+    non-finite or beyond DIVERGENCE_LIMIT.
     """
     if abs(plant.Ts - cfg.Ts) > 1e-15:
         raise ValueError(f"plant Ts {plant.Ts} != config Ts {cfg.Ts}")
@@ -146,8 +130,11 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0,
     n = int(round(cfg.horizon / cfg.Ts))
     if n < 1:
         raise ValueError("horizon shorter than one sample")
+    v_d = float(v_d)
+    if not math.isfinite(v_d):
+        raise ValueError(f"reference must be finite, got {v_d}")
     t = np.arange(n) * cfg.Ts
-    vd = render_reference(v_d, t)
+    vd = np.full(n, v_d)
     if d is not None and not isinstance(d, DisturbanceSignal):
         raise TypeError(f"d must be a DisturbanceSignal or None, "
                         f"got {type(d).__name__}")
@@ -173,7 +160,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0,
         # stepping on the previous u keeps the improved observer's drive
         # +q_hat aligned with the -q_hat the control carries
         obs.loop_step(u_prev, y)
-        u0 = cfg.K * (vd[k] - obs.z1)
+        u0 = cfg.K * (v_d - obs.z1)
         u = control_law(u0, obs.z2, obs.q_hat, cfg.b)
         ya[k] = y
         ua[k] = u
@@ -189,8 +176,8 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d=1.0,
                       q_hat=qha, d=darr, Ts=cfg.Ts)
 
 
-def loop_gain_variants(cfg: AdrcConfig, plant: FracPlant, scales, v_d=1.0,
-                       d=None) -> list[Trajectory]:
+def loop_gain_variants(cfg: AdrcConfig, plant: FracPlant, scales,
+                       v_d: float = 1.0, d=None) -> list[Trajectory]:
     """Re-run the loop with the true plant gain scaled while the controller
     keeps its nominal b; one trajectory per scale."""
     scales = [float(s) for s in scales]

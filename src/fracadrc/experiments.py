@@ -14,7 +14,6 @@ helpers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -77,35 +76,15 @@ class UnstableConfigError(RuntimeError):
         self.report = report
 
 
-@dataclass
-class ExperimentSpec:
-    id: str
-    overrides: dict = field(default_factory=dict)
-    output_dir: str | Path = "results"
-
-
-def _params(overrides: dict) -> dict:
-    params = dict(DEFAULT_PARAMS)
-    unknown = set(overrides) - set(DEFAULT_PARAMS) - {"variant"}
-    if unknown:
-        raise ValueError(f"unknown override keys {sorted(unknown)}")
-    params.update(overrides)
-    return params
-
-
-def make_loop(params: dict,
-              variant: AdrcVariant | str | None = None
-              ) -> tuple[AdrcConfig, FracPlant]:
+def make_loop(params: dict) -> tuple[AdrcConfig, FracPlant]:
     """Controller config and fresh plant for one parameter set.
 
-    `params` holds the DEFAULT_PARAMS keys and may hold `variant`; an
-    explicit `variant` takes precedence.  The AdrcConfig and FracPlant
+    `params` holds the DEFAULT_PARAMS keys and may hold `variant`
+    (AdrcConfig's default when absent).  The AdrcConfig and FracPlant
     constructors are the only check on the values.
     """
-    if variant is None:
-        variant = params.get("variant", AdrcVariant.IFADRC)
-    cfg = AdrcConfig(variant=variant, K=params["K"],
-                     omega_o=params["omega_o"], b=params["b"],
+    cfg = AdrcConfig(variant=params.get("variant", AdrcConfig.variant),
+                     K=params["K"], omega_o=params["omega_o"], b=params["b"],
                      Ts=params["Ts"], horizon=params["horizon"])
     plant = FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"])
     return cfg, plant
@@ -161,11 +140,9 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray,
     return files
 
 
-def _stability_file(outdir: Path,
+def _stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
                     params: dict) -> tuple[StabilityReport, dict]:
-    poly, report = loop_sector_test(params["b"], params["b_o"],
-                                    params["a_o"], params["K"],
-                                    params["omega_o"], params["mu"])
+    poly, report = loop_sector_test(cfg, plant)
     write_json(outdir / "stability_report.json", report.to_dict())
     return report, {"path": "stability_report.json",
                     "kind": "stability_report",
@@ -173,31 +150,41 @@ def _stability_file(outdir: Path,
                                    "q_den": poly.q_den}}
 
 
-def run_experiment(spec: ExperimentSpec) -> dict:
-    """Execute one experiment; returns the manifest (also written to disk)."""
-    if spec.id not in EXPERIMENT_IDS and spec.id != "custom":
-        raise ValueError(f"unknown experiment id {spec.id!r}")
+def run_experiment(exp_id: str, output_dir: str | Path = "results",
+                   overrides: dict | None = None) -> dict:
+    """Execute one experiment; returns the manifest (also written to disk).
+
+    Only `custom` takes `overrides` (DEFAULT_PARAMS keys and `variant`);
+    every figure experiment runs its own frozen parameters.
+    """
+    if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
+        raise ValueError(f"unknown experiment id {exp_id!r}")
     # the inputs are checked before anything is made on disk
-    params = _params(spec.overrides)
-    if spec.id == "custom":
+    overrides = overrides or {}
+    unknown = set(overrides) - set(DEFAULT_PARAMS) - {"variant"}
+    if unknown:
+        raise ValueError(f"unknown override keys {sorted(unknown)}")
+    if overrides and exp_id != "custom":
+        raise ValueError(f"experiment {exp_id} runs frozen parameters; "
+                         f"only custom takes overrides")
+    params = {**DEFAULT_PARAMS, **overrides}
+    if exp_id == "custom":
         cfg, plant = make_loop(params)
-    outdir = Path(spec.output_dir) / spec.id
+    outdir = Path(output_dir) / exp_id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
     # artifact path -> its Trajectory or (e_io, e_ifio), for metrics.csv
     data: dict[str, object] = {}
 
-    if spec.id == "fig4":
-        base = dict(MSE_BASE)
-        base.update({k: spec.overrides[k] for k in base if k in spec.overrides})
+    if exp_id == "fig4":
         grid = log_grid(*MSE_GRID)
-        parameters = {**base, **MSE_GRID_PARAMS}
+        parameters = {**MSE_BASE, **MSE_GRID_PARAMS}
         data["mse.csv"] = curves = mse_curves(grid, parameters)
         files.append(mse_file(outdir, "mse.csv", grid, curves, parameters))
-        manifest_params = base
+        manifest_params = dict(MSE_BASE)
 
-    elif spec.id in MSE_FAMILIES:
-        key, values = MSE_FAMILIES[spec.id]
+    elif exp_id in MSE_FAMILIES:
+        key, values = MSE_FAMILIES[exp_id]
         grid = log_grid(*MSE_GRID)
         for v in values:
             name = f"mse_{key}_{v:g}.csv"
@@ -206,49 +193,47 @@ def run_experiment(spec: ExperimentSpec) -> dict:
             files.append(mse_file(outdir, name, grid, curves, parameters))
         manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
 
-    elif spec.id in BODE_MUS:
-        params = {**MSE_BASE, "mu": BODE_MUS[spec.id], "b": 1.0, "b_o": 1.0}
+    elif exp_id in BODE_MUS:
+        params = {**MSE_BASE, "mu": BODE_MUS[exp_id], "b": 1.0, "b_o": 1.0}
         files = bode_files(outdir, params, log_grid(*BODE_GRID))
         manifest_params = params
 
-    elif spec.id == "fig10":
-        files.append(_stability_file(outdir, params)[1])
+    elif exp_id == "fig10":
+        files.append(_stability_file(outdir, *make_loop(params), params)[1])
         manifest_params = params
 
-    elif spec.id == "fig11":
+    elif exp_id == "fig11":
         for variant in AdrcVariant:
+            point = {**params, "variant": variant.value}
             name = f"step_{variant.value}.csv"
-            data[name] = traj = run_closed_loop(*make_loop(params, variant))
-            files.append(trajectory_file(outdir, name, traj,
-                                         {**params, "variant": variant.value}))
+            data[name] = traj = run_closed_loop(*make_loop(point))
+            files.append(trajectory_file(outdir, name, traj, point))
         manifest_params = params
 
-    elif spec.id in LOOP_GAIN_VARIANTS:
-        variant = LOOP_GAIN_VARIANTS[spec.id]
-        trajs = loop_gain_variants(*make_loop(params, variant),
-                                   LOOP_GAIN_SCALES)
+    elif exp_id in LOOP_GAIN_VARIANTS:
+        variant = LOOP_GAIN_VARIANTS[exp_id]
+        point = {**params, "variant": variant.value}
+        trajs = loop_gain_variants(*make_loop(point), LOOP_GAIN_SCALES)
         for scale, traj in zip(LOOP_GAIN_SCALES, trajs):
             name = f"step_{variant.value}_scale_{scale:g}.csv"
             data[name] = traj
-            files.append(trajectory_file(
-                outdir, name, traj,
-                {**params, "variant": variant.value, "gain_scale": scale}))
-        manifest_params = {**params, "variant": variant.value,
-                           "scales": list(LOOP_GAIN_SCALES)}
+            files.append(trajectory_file(outdir, name, traj,
+                                         {**point, "gain_scale": scale}))
+        manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
 
     else:  # custom
         manifest_params = {**params, "variant": cfg.variant.value}
-        report, entry = _stability_file(outdir, params)
+        report, entry = _stability_file(outdir, cfg, plant, params)
         files.append(entry)
         if not report.stable:
-            write_manifest(outdir, manifest_params, files, experiment=spec.id)
+            write_manifest(outdir, manifest_params, files, experiment=exp_id)
             raise UnstableConfigError(report)
         data["trajectory.csv"] = traj = run_closed_loop(cfg, plant)
         files.append(trajectory_file(outdir, "trajectory.csv", traj,
                                      manifest_params))
 
     manifest = write_manifest(outdir, manifest_params, files,
-                              experiment=spec.id)
+                              experiment=exp_id)
     _write_metrics(outdir, files, data)
     return manifest
 

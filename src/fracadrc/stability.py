@@ -9,10 +9,14 @@ with lambda = 1/q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+
+from .control import AdrcConfig
+from .observers import bandwidth_gains
+from .plant import FracPlant
 
 MAX_DEGREE = 300
 SECTOR_GUARD = 1e-9
@@ -43,12 +47,14 @@ class CharPoly:
     coeffs: np.ndarray
     p: int
     q_den: int
-    lam: float
-    params: dict = field(default_factory=dict)
 
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
+
+    @property
+    def lam(self) -> float:
+        return 1.0 / self.q_den
 
 
 def build_char_poly(b: float, b_o: float, a_o: float, K: float, beta1: float,
@@ -71,15 +77,7 @@ def build_char_poly(b: float, b_o: float, a_o: float, K: float, beta1: float,
     c[q_den + p] = b * K + beta1 * b - beta1 * b_o
     c[q_den] = a_o * b * beta1 + a_o * b * K + K * b_o * beta1 + b_o * beta2
     c[0] = b_o * beta2 * K
-    return CharPoly(coeffs=c, p=int(p), q_den=int(q_den), lam=1.0 / q_den,
-                    params={"b": b, "b_o": b_o, "a_o": a_o, "K": K,
-                            "beta1": beta1, "beta2": beta2})
-
-
-def _coeff_array(poly) -> np.ndarray:
-    if isinstance(poly, CharPoly):
-        return poly.coeffs
-    return np.asarray(poly, dtype=float)
+    return CharPoly(coeffs=c, p=int(p), q_den=int(q_den))
 
 
 def _normalized_residuals(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
@@ -92,14 +90,14 @@ def _normalized_residuals(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return vals / scale
 
 
-def poly_roots(poly, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def poly_roots(poly: CharPoly) -> np.ndarray:
     """All complex roots, via eigenvalues of the balanced companion matrix
     plus one Newton polish per root, verified against a residual bound.
 
     Raises ArithmeticError with the per-root residuals if the bound fails.
     Output is sorted by (real, imag) so repeated calls are reproducible.
     """
-    c = _coeff_array(poly)
+    c = poly.coeffs
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
     if c[-1] == 0.0:
@@ -116,10 +114,10 @@ def poly_roots(poly, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     roots = np.where(take, polished, roots)
     residuals = np.where(take, r_pol, r_raw)
     worst = float(np.max(residuals))
-    if worst > residual_tol:
+    if worst > RESIDUAL_TOL:
         raise ArithmeticError(
             f"root refinement failed: max normalized residual {worst:.3e} "
-            f"exceeds {residual_tol:.1e}; residuals={residuals!r}")
+            f"exceeds {RESIDUAL_TOL:.1e}; residuals={residuals!r}")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 
@@ -150,34 +148,31 @@ class StabilityReport:
         }
 
 
-def sector_test(poly: CharPoly, guard: float = SECTOR_GUARD) -> StabilityReport:
+def sector_test(poly: CharPoly) -> StabilityReport:
     """Verdict on |arg(w_i)| > lam*pi/2 for every root.
 
-    margin = min |arg(w_i)| - lam*pi/2.  A margin inside (0, guard] is
-    flagged marginal and judged unstable (conservative).
+    margin = min |arg(w_i)| - lam*pi/2.  A margin inside (0, SECTOR_GUARD]
+    is flagged marginal and judged unstable (conservative).
     """
     roots = poly_roots(poly)
-    residuals = _normalized_residuals(_coeff_array(poly), roots)
+    residuals = _normalized_residuals(poly.coeffs, roots)
     args = np.angle(roots)
     margin = float(np.min(np.abs(args)) - poly.lam * np.pi / 2.0)
     return StabilityReport(roots=roots, args=args, margin=margin,
-                           stable=margin > guard,
+                           stable=margin > SECTOR_GUARD,
                            residuals=residuals,
-                           marginal=0.0 < margin <= guard,
+                           marginal=0.0 < margin <= SECTOR_GUARD,
                            lam=poly.lam, degree=poly.degree)
 
 
-def loop_sector_test(b: float, b_o: float, a_o: float, K: float,
-                     omega_o: float,
-                     mu: float) -> tuple[CharPoly, StabilityReport]:
-    """Sector test of the improved-observer loop under bandwidth gains.
-
-    Rationalizes mu, builds the characteristic polynomial with
-    beta1 = 2*omega_o and beta2 = omega_o**2, and returns it with its
-    report.
-    """
-    p, q_den = rationalize_order(mu)
-    poly = build_char_poly(b, b_o, a_o, K, 2.0 * omega_o, omega_o ** 2,
-                           p, q_den)
+def loop_sector_test(cfg: AdrcConfig,
+                     plant: FracPlant) -> tuple[CharPoly, StabilityReport]:
+    """Sector test of the improved-observer loop that `cfg` and `plant`
+    describe: the controller's K, b and bandwidth gains against the
+    plant's a_o, b_o and rationalized order.  Returns the characteristic
+    polynomial with its report."""
+    p, q_den = rationalize_order(plant.mu)
+    gains = bandwidth_gains(cfg.omega_o)
+    poly = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, gains.beta1,
+                           gains.beta2, p, q_den)
     return poly, sector_test(poly)
-

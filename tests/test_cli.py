@@ -111,6 +111,21 @@ def test_non_finite_parameter_fails(tmp_path, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["stability", "--report", "{tmp}/missing/r.json"],
+                 id="stability--report-in-missing-directory"),
+    pytest.param(["simulate", "--horizon", "0.01", "--output-dir",
+                  "{tmp}/file"], id="simulate--output-dir-is-a-file"),
+])
+def test_unwritable_output_fails_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert run_cli(*[arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("fracadrc: error: ")
+    assert "Traceback" not in err
+
+
 def test_config_file_and_flag_precedence(tmp_path, capsys):
     # File overrides defaults; explicit flags override the file.
     cfg = tmp_path / "params.cfg"

@@ -26,7 +26,7 @@ from fracadrc import (
     run_closed_loop,
 )
 from fracadrc.artifacts import CSV_BLOCK_ROWS
-from fracadrc.control import TRAJECTORY_COLUMNS, render_reference
+from fracadrc.control import TRAJECTORY_COLUMNS
 
 from helpers import REF, ref_config, ref_plant
 
@@ -75,16 +75,6 @@ def test_simulation_is_deterministic():
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_reference_forms_agree():
-    cfg = ref_config(horizon=0.05)
-    scalar = run_closed_loop(cfg, ref_plant(), v_d=1.0)
-    n = scalar.t.size
-    array = run_closed_loop(cfg, ref_plant(), v_d=np.ones(n))
-    func = run_closed_loop(cfg, ref_plant(), v_d=lambda t: np.ones_like(t))
-    np.testing.assert_array_equal(scalar.y, array.y)
-    np.testing.assert_array_equal(scalar.y, func.y)
-
-
 def test_trajectory_length_and_grid():
     cfg = ref_config(horizon=0.1)
     traj = run_closed_loop(cfg, ref_plant(), v_d=1.0)
@@ -114,6 +104,10 @@ def test_config_validation():
         ref_config(omega_o=0.0)
     with pytest.raises(ValueError):
         ref_config(b=0.0)
+    with pytest.raises(ValueError):
+        ref_config(variant=None)
+    with pytest.raises(ValueError):
+        ref_config(variant=5)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -137,14 +131,9 @@ def test_config_validation():
                  id="DisturbanceSignal.onset"),
     pytest.param(lambda v: DisturbanceSignal.from_samples([0.0, v, 1.0]),
                  id="DisturbanceSignal.samples"),
-    pytest.param(lambda v: render_reference(v, np.arange(4) * 1e-3),
-                 id="render_reference.scalar"),
-    pytest.param(lambda v: render_reference([1.0, v, 1.0, 1.0],
-                                            np.arange(4) * 1e-3),
-                 id="render_reference.array"),
-    pytest.param(lambda v: render_reference(lambda tk: v if tk > 0 else 1.0,
-                                            np.arange(4) * 1e-3),
-                 id="render_reference.callable"),
+    pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.001),
+                                           ref_plant(), v_d=v),
+                 id="run_closed_loop.v_d"),
     pytest.param(lambda v: Ieso(bandwidth_gains(400.0), 1.0, v), id="Ieso.Ts"),
     pytest.param(lambda v: Feso(bandwidth_gains(400.0), 1.0, 0.8, v),
                  id="Feso.Ts"),

@@ -11,7 +11,6 @@ import pytest
 from fracadrc import (
     DEFAULT_PARAMS,
     EXPERIMENT_IDS,
-    ExperimentSpec,
     Trajectory,
     UnstableConfigError,
     run_experiment,
@@ -65,7 +64,7 @@ def test_default_parameters():
 
 @pytest.mark.parametrize("fid", ["fig4", "fig6", "fig9", "fig10"])
 def test_cheap_experiments_produce_expected_artifacts(fid, tmp_path):
-    manifest = run_experiment(ExperimentSpec(id=fid, output_dir=tmp_path))
+    manifest = run_experiment(fid, tmp_path)
     outdir = Path(manifest["directory"])
     assert outdir == tmp_path / fid
     produced = [f["path"] for f in manifest["files"]]
@@ -77,7 +76,7 @@ def test_cheap_experiments_produce_expected_artifacts(fid, tmp_path):
 
 
 def test_step_experiment_artifacts_load_as_trajectories(tmp_path):
-    manifest = run_experiment(ExperimentSpec(id="fig11", output_dir=tmp_path))
+    manifest = run_experiment("fig11", tmp_path)
     produced = [f["path"] for f in manifest["files"]]
     assert produced == EXPECTED_FILES["fig11"]
     for name in produced:
@@ -87,7 +86,7 @@ def test_step_experiment_artifacts_load_as_trajectories(tmp_path):
 
 
 def test_gain_sweep_experiment(tmp_path):
-    manifest = run_experiment(ExperimentSpec(id="fig14", output_dir=tmp_path))
+    manifest = run_experiment("fig14", tmp_path)
     assert [f["path"] for f in manifest["files"]] == EXPECTED_FILES["fig14"]
     scales = [f["parameters"]["gain_scale"] for f in manifest["files"]]
     assert scales == [0.5, 1.0, 2.0]
@@ -95,43 +94,43 @@ def test_gain_sweep_experiment(tmp_path):
 
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment"):
-        run_experiment(ExperimentSpec(id="fig99", output_dir=tmp_path))
+        run_experiment("fig99", tmp_path)
 
 
 @pytest.mark.parametrize("overrides", [{"memory_len": 10}, {"wibble": 1.0}])
 def test_unknown_override_key_rejected(tmp_path, overrides):
     # the GL history is never truncated, so memory_len is no parameter
-    spec = ExperimentSpec(id="custom", overrides=overrides, output_dir=tmp_path)
     with pytest.raises(ValueError, match="unknown override keys"):
-        run_experiment(spec)
+        run_experiment("custom", tmp_path, overrides)
 
 
-@pytest.mark.parametrize("overrides", [{"memory_len": 10}, {"K": -1.0}])
-def test_rejected_inputs_make_no_directory(tmp_path, overrides):
-    spec = ExperimentSpec(id="custom", overrides=overrides,
-                          output_dir=tmp_path / "out")
+@pytest.mark.parametrize("exp_id, overrides", [
+    pytest.param("custom", {"memory_len": 10}, id="overrides0"),
+    pytest.param("custom", {"K": -1.0}, id="overrides1"),
+    # only custom takes parameters; a figure runs its frozen ones
+    pytest.param("fig11", {"horizon": 0.05}, id="fig11-overrides"),
+])
+def test_rejected_inputs_make_no_directory(tmp_path, exp_id, overrides):
     with pytest.raises(ValueError):
-        run_experiment(spec)
+        run_experiment(exp_id, tmp_path / "out", overrides)
     assert not (tmp_path / "out").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
     import hashlib
 
-    manifest = run_experiment(ExperimentSpec(id="fig4", output_dir=tmp_path))
+    manifest = run_experiment("fig4", tmp_path)
     outdir = tmp_path / "fig4"
     names = [f["path"] for f in manifest["files"]] + ["manifest.json"]
     before = {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in names}
-    run_experiment(ExperimentSpec(id="fig4", output_dir=tmp_path))
+    run_experiment("fig4", tmp_path)
     after = {n: hashlib.sha256((outdir / n).read_bytes()).hexdigest() for n in names}
     assert after == before
 
 
 def test_manifest_echoes_overrides(tmp_path):
-    spec = ExperimentSpec(
-        id="custom", overrides={"horizon": 0.25, "K": 120.0}, output_dir=tmp_path
-    )
-    manifest = run_experiment(spec)
+    manifest = run_experiment("custom", tmp_path,
+                              {"horizon": 0.25, "K": 120.0})
     assert manifest["parameters"]["horizon"] == 0.25
     assert manifest["parameters"]["K"] == 120.0
     assert manifest["parameters"]["a_o"] == DEFAULT_PARAMS["a_o"]
@@ -140,11 +139,8 @@ def test_manifest_echoes_overrides(tmp_path):
 
 
 def test_custom_experiment_gates_on_stability(tmp_path):
-    spec = ExperimentSpec(
-        id="custom", overrides={"b_o": -1.0, "horizon": 0.25}, output_dir=tmp_path
-    )
     with pytest.raises(UnstableConfigError):
-        run_experiment(spec)
+        run_experiment("custom", tmp_path, {"b_o": -1.0, "horizon": 0.25})
     # The verdict is still recorded for inspection.
     report = json.loads((tmp_path / "custom" / "stability_report.json").read_text())
     assert report["stable"] is False
@@ -183,7 +179,7 @@ def test_reference_step_metrics(ref_trio):
 
 
 def test_summarize_step_experiment(tmp_path):
-    manifest = run_experiment(ExperimentSpec(id="fig11", output_dir=tmp_path))
+    manifest = run_experiment("fig11", tmp_path)
     rows = summarize(manifest)
     assert [r["artifact"] for r in rows] == EXPECTED_FILES["fig11"]
     by_name = {r["artifact"]: r for r in rows}
@@ -203,7 +199,7 @@ def test_summarize_step_experiment(tmp_path):
 
 @pytest.mark.parametrize("fid", ["fig4", "fig5", "fig11"])
 def test_summarize_rewrites_the_metrics_run_experiment_wrote(tmp_path, fid):
-    run_experiment(ExperimentSpec(id=fid, output_dir=tmp_path))
+    run_experiment(fid, tmp_path)
     metrics = tmp_path / fid / "metrics.csv"
     from_memory = metrics.read_bytes()
     metrics.unlink()
@@ -212,7 +208,7 @@ def test_summarize_rewrites_the_metrics_run_experiment_wrote(tmp_path, fid):
 
 
 def test_summarize_mse_experiment(tmp_path):
-    manifest = run_experiment(ExperimentSpec(id="fig4", output_dir=tmp_path))
+    manifest = run_experiment("fig4", tmp_path)
     rows = summarize(manifest)
     assert rows[0]["artifact"] == "mse.csv"
     # Integer-view error dwarfs the embedding view at high frequency.

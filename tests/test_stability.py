@@ -14,11 +14,13 @@ from fracadrc import (
     CharPoly,
     bandwidth_gains,
     build_char_poly,
+    loop_sector_test,
     poly_roots,
     rationalize_order,
     sector_test,
 )
-from fracadrc.stability import loop_sector_test
+
+from helpers import ref_config, ref_plant
 
 REF = dict(b=1.0, b_o=1.0, a_o=10.0, K=150.0, omega_o=400.0, p=4, q_den=5)
 
@@ -113,12 +115,6 @@ def test_matched_gain_polynomial_structure(a_o, K, omega_o, b, p, q_den):
     assert cp.lam == pytest.approx(1.0 / q_den)
 
 
-def test_polynomial_records_parameters():
-    cp = ref_poly()
-    assert cp.params["K"] == 150.0
-    assert cp.params["a_o"] == 10.0
-
-
 # ---------------------------------------------------------------------------
 # Roots
 # ---------------------------------------------------------------------------
@@ -168,7 +164,7 @@ def test_flipped_gain_is_unstable_by_a_real_root():
 def test_boundary_roots_flag_marginal():
     ang = 0.1 * math.pi  # exactly on the lam = 0.2 sector edge
     coeffs = np.array([1.0, -2.0 * math.cos(ang), 1.0])
-    cp = CharPoly(coeffs=coeffs, p=0, q_den=5, lam=0.2, params={})
+    cp = CharPoly(coeffs=coeffs, p=0, q_den=5)
     rep = sector_test(cp)
     assert rep.marginal
     assert not rep.stable
@@ -178,9 +174,7 @@ def test_boundary_roots_flag_marginal():
 @given(scale=st.floats(min_value=0.1, max_value=10.0))
 def test_margin_invariant_under_coefficient_scaling(scale):
     cp = ref_poly()
-    scaled = CharPoly(
-        coeffs=cp.coeffs * scale, p=cp.p, q_den=cp.q_den, lam=cp.lam, params={}
-    )
+    scaled = CharPoly(coeffs=cp.coeffs * scale, p=cp.p, q_den=cp.q_den)
     assert sector_test(scaled).margin == pytest.approx(
         sector_test(cp).margin, abs=1e-9
     )
@@ -193,8 +187,23 @@ def test_margin_invariant_under_coefficient_scaling(scale):
 
 def test_matched_loop_never_destabilizes_with_gain():
     for K in (0.01, 150.0, 1e9):
-        assert loop_sector_test(1.0, 1.0, 10.0, K, 400.0, 0.8)[1].stable
+        assert loop_sector_test(ref_config(K=K), ref_plant())[1].stable
 
 
 def test_everywhere_unstable_loop_fails_at_sweep_floor():
-    assert not loop_sector_test(1.0, 1.0, -2000.0, 0.01, 400.0, 0.8)[1].stable
+    assert not loop_sector_test(ref_config(K=0.01),
+                                ref_plant(a_o=-2000.0))[1].stable
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.73, 0.8, 0.87])
+def test_loop_gate_matches_its_composition(mu):
+    # the steps the gate composes, spelled out from the loop's parameters
+    cfg, plant = ref_config(), ref_plant(mu=mu)
+    poly, report = loop_sector_test(cfg, plant)
+    p, q_den = rationalize_order(mu)
+    g = bandwidth_gains(cfg.omega_o)
+    expected = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, g.beta1,
+                               g.beta2, p, q_den)
+    np.testing.assert_array_equal(poly.coeffs, expected.coeffs)
+    assert (poly.p, poly.q_den) == (p, q_den)
+    assert report.margin == sector_test(expected).margin

@@ -54,7 +54,8 @@ def test_tracer_counts_one_short_run_per_variant(tracing_module):
         tracer.install()
         for variant in control.AdrcVariant:
             params = {**experiments.DEFAULT_PARAMS, "horizon": 0.05}
-            control.run_closed_loop(*experiments.make_loop(params, variant))
+            control.run_closed_loop(
+                *experiments.make_loop({**params, "variant": variant}))
     finally:
         tracer.uninstall()
 
