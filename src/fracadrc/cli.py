@@ -229,6 +229,7 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
         names = _file_names(f"step_{args.param}_{{:g}}.csv", values, "values")
         points = [{**params, args.param: value} for value in values]
         loops = [make_loop(point) for point in points]  # checks every value
+        cfg.samples()  # and the horizon, which every point shares
         outdir.mkdir(parents=True, exist_ok=True)
         files = [trajectory_file(outdir, name, run_closed_loop(*loop), point)
                  for name, point, loop in zip(names, points, loops)]
@@ -301,10 +302,12 @@ def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
     manifests = []
+    runs: dict = {}  # each distinct loop is simulated once per invocation
     for exp_id in ids:
         # custom runs the resolved parameters
         manifest = run_experiment(exp_id, args.output_dir,
-                                  params if exp_id == "custom" else None)
+                                  params if exp_id == "custom" else None,
+                                  runs=runs)
         manifests.append(manifest)
         print(f"{exp_id}: {len(manifest['files'])} artifacts under "
               f"{manifest['directory']}")

@@ -63,6 +63,14 @@ class AdrcConfig:
         if not (math.isfinite(self.b) and self.b != 0.0):
             raise ValueError(f"b must be nonzero and finite, got {self.b}")
 
+    def samples(self) -> int:
+        """Number of samples a run simulates: horizon / Ts, rounded.  A
+        run needs two, since its step metrics take a numerical gradient."""
+        n = int(round(self.horizon / self.Ts))
+        if n < 2:
+            raise ValueError("horizon shorter than two samples")
+        return n
+
 
 @dataclass
 class Trajectory:
@@ -127,9 +135,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         raise ValueError(f"plant Ts {plant.Ts} != config Ts {cfg.Ts}")
     if plant.gl.size:
         raise ValueError("plant carries history; pass a fresh instance")
-    n = int(round(cfg.horizon / cfg.Ts))
-    if n < 1:
-        raise ValueError("horizon shorter than one sample")
+    n = cfg.samples()
     v_d = float(v_d)
     if not math.isfinite(v_d):
         raise ValueError(f"reference must be finite, got {v_d}")

@@ -14,14 +14,14 @@ helpers.
 from __future__ import annotations
 
 import json
+import shutil
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .artifacts import write_json
-from .control import (AdrcConfig, AdrcVariant, Trajectory, loop_gain_variants,
-                      run_closed_loop)
+from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
 from .plant import FracPlant
@@ -150,12 +150,23 @@ def _stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
                                    "q_den": poly.q_den}}
 
 
+def _loop_key(point: dict, scale: float) -> tuple:
+    """The loop `point` simulates with its true plant gain b_o scaled by
+    `scale`, as a hashable key of `run_experiment`'s `runs`."""
+    return tuple(sorted({**point, "b_o": point["b_o"] * scale}.items()))
+
+
 def run_experiment(exp_id: str, output_dir: str | Path = "results",
-                   overrides: dict | None = None) -> dict:
+                   overrides: dict | None = None, *,
+                   runs: dict | None = None) -> dict:
     """Execute one experiment; returns the manifest (also written to disk).
 
     Only `custom` takes `overrides` (DEFAULT_PARAMS keys and `variant`);
-    every figure experiment runs its own frozen parameters.
+    every figure experiment runs its own frozen parameters.  `runs` is
+    shared by the experiments of one invocation so that each distinct loop
+    is simulated once: fig11 records each of its runs there as
+    loop key -> (Trajectory, path of its CSV), and fig12-fig14 copy a
+    recorded run's CSV instead of simulating that loop again.
     """
     if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
         raise ValueError(f"unknown experiment id {exp_id!r}")
@@ -170,6 +181,8 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     params = {**DEFAULT_PARAMS, **overrides}
     if exp_id == "custom":
         cfg, plant = make_loop(params)
+        cfg.samples()  # a run needs two samples
+    runs = {} if runs is None else runs
     outdir = Path(output_dir) / exp_id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
@@ -208,17 +221,26 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
             name = f"step_{variant.value}.csv"
             data[name] = traj = run_closed_loop(*make_loop(point))
             files.append(trajectory_file(outdir, name, traj, point))
+            runs[_loop_key(point, 1.0)] = traj, outdir / name
         manifest_params = params
 
     elif exp_id in LOOP_GAIN_VARIANTS:
         variant = LOOP_GAIN_VARIANTS[exp_id]
         point = {**params, "variant": variant.value}
-        trajs = loop_gain_variants(*make_loop(point), LOOP_GAIN_SCALES)
-        for scale, traj in zip(LOOP_GAIN_SCALES, trajs):
+        cfg, plant = make_loop(point)
+        for scale in LOOP_GAIN_SCALES:
             name = f"step_{variant.value}_scale_{scale:g}.csv"
-            data[name] = traj
-            files.append(trajectory_file(outdir, name, traj,
-                                         {**point, "gain_scale": scale}))
+            parameters = {**point, "gain_scale": scale}
+            recorded = runs.get(_loop_key(point, scale))
+            if recorded is None:
+                data[name] = traj = run_closed_loop(
+                    cfg, plant.with_gain_scale(scale))
+                files.append(trajectory_file(outdir, name, traj, parameters))
+            else:
+                data[name], source = recorded
+                shutil.copyfile(source, outdir / name)
+                files.append({"path": name, "kind": "trajectory",
+                              "parameters": parameters})
         manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
 
     else:  # custom

@@ -7,12 +7,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fracadrc import Trajectory, run_closed_loop
+from fracadrc import Trajectory, experiments, run_closed_loop
 from fracadrc.cli import main
 
 from helpers import ref_config, ref_plant
@@ -124,6 +125,24 @@ def test_unwritable_output_fails_with_one_line(tmp_path, capsys, argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("fracadrc: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["simulate"], id="simulate"),
+    pytest.param(["reproduce", "custom"], id="reproduce-custom"),
+    pytest.param(["sweep", "--scales", "1"], id="sweep--scales"),
+    pytest.param(["sweep", "--param", "K", "--values", "100"],
+                 id="sweep--param"),
+])
+def test_one_sample_horizon_fails_before_writing(tmp_path, capsys, command):
+    # a run needs two samples: its step metrics take a numerical gradient
+    out = tmp_path / "out"
+    assert run_cli(*command, "--horizon", "0.000125",
+                   "--output-dir", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "fracadrc: error: horizon shorter than two samples"]
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -383,15 +402,37 @@ def test_reproduce_reads_no_artifact_back(tmp_path, monkeypatch, experiment):
 
 
 @pytest.fixture(scope="module")
-def reproduce_all_root(tmp_path_factory):
+def reproduce_all_calls():
+    """Simulations and trajectory CSV writes of the `reproduce all` run."""
+    return Counter()
+
+
+@pytest.fixture(scope="module")
+def reproduce_all_root(tmp_path_factory, reproduce_all_calls):
     """One `reproduce all` run shared by the tests that inspect its tree."""
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            reproduce_all_calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     # every manifest embeds the output path as given, so run from a fresh
     # directory with the same relative path the reference was made with
     workdir = tmp_path_factory.mktemp("reproduce_all")
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(workdir)
+        mp.setattr(experiments, "run_closed_loop",
+                   counted("run_closed_loop", experiments.run_closed_loop))
+        mp.setattr(Trajectory, "to_csv",
+                   counted("to_csv", Trajectory.to_csv))
         assert run_cli("reproduce", "all", "--output-dir", "results") == 0
     return workdir / "results"
+
+
+def test_reproduce_all_simulates_each_loop_once(reproduce_all_root,
+                                                reproduce_all_calls):
+    # 12 trajectories, of which fig12-fig14's scale-1 runs are fig11's
+    assert reproduce_all_calls == {"run_closed_loop": 9, "to_csv": 9}
 
 
 def test_reproduce_all_writes_index(reproduce_all_root, monkeypatch):

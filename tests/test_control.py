@@ -95,6 +95,14 @@ def test_requires_matching_sample_time():
         run_closed_loop(ref_config(horizon=0.01), ref_plant(Ts=1e-3))
 
 
+def test_horizon_must_hold_two_samples():
+    # the step metrics of a run take a numerical gradient of y
+    with pytest.raises(ValueError, match="shorter than two samples"):
+        run_closed_loop(ref_config(horizon=REF["Ts"]), ref_plant())
+    assert len(run_closed_loop(ref_config(horizon=2 * REF["Ts"]),
+                               ref_plant())) == 2
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ref_config(horizon=0.0)

@@ -2,6 +2,7 @@
 stability gate on custom configurations."""
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,10 +14,14 @@ from fracadrc import (
     EXPERIMENT_IDS,
     Trajectory,
     UnstableConfigError,
+    experiments,
     run_experiment,
     step_metrics,
     summarize,
 )
+
+REPRODUCE_ALL_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                           / "reference" / "reproduce-all.json")
 
 EXPECTED_FILES = {
     "fig4": ["mse.csv"],
@@ -90,6 +95,25 @@ def test_gain_sweep_experiment(tmp_path):
     assert [f["path"] for f in manifest["files"]] == EXPECTED_FILES["fig14"]
     scales = [f["parameters"]["gain_scale"] for f in manifest["files"]]
     assert scales == [0.5, 1.0, 2.0]
+
+
+def test_gain_sweep_experiment_alone_simulates_every_scale(tmp_path,
+                                                          monkeypatch):
+    # with no fig11 run to reuse, fig12 simulates its scale-1 loop itself,
+    # and nothing recorded by an earlier call in this process is reused
+    calls = []
+    run = experiments.run_closed_loop
+    monkeypatch.setattr(experiments, "run_closed_loop",
+                        lambda *args: calls.append(args) or run(*args))
+    run_experiment("fig11", tmp_path / "earlier")
+    calls.clear()
+    run_experiment("fig12", tmp_path)
+    assert len(calls) == 3
+    reference = json.loads(REPRODUCE_ALL_REFERENCE.read_text())["files"]
+    produced = {f"fig12/{name}":
+                hashlib.sha256((tmp_path / "fig12" / name).read_bytes())
+                .hexdigest() for name in EXPECTED_FILES["fig12"]}
+    assert produced == {rel: reference[rel]["sha256"] for rel in produced}
 
 
 def test_unknown_experiment_rejected(tmp_path):
