@@ -15,11 +15,11 @@ from pathlib import Path
 
 from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
-                      loop_gain_variants, run_closed_loop)
+                      run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           UnstableConfigError, bode_files, make_loop,
                           mse_curves, mse_file, run_experiment, step_metrics,
-                          trajectory_file, write_manifest)
+                          trajectory_files, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
@@ -182,8 +182,9 @@ def cmd_simulate(args, params: dict, cfg: AdrcConfig,
             "dist_amplitude": args.dist_amplitude,
             "dist_frequency": args.dist_frequency,
             "dist_onset": args.dist_onset}
-    write_manifest(outdir, meta,
-                   [trajectory_file(outdir, "trajectory.csv", traj, meta)],
+    traj.to_csv(outdir / "trajectory.csv")
+    write_manifest(outdir, meta, [{"path": "trajectory.csv",
+                                   "kind": "trajectory", "parameters": meta}],
                    command="simulate")
     m = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
     print(f"simulate: {params['variant']} settle_2pct={m['settle_2pct_s']:.4g}s "
@@ -213,30 +214,27 @@ def _file_names(pattern: str, values: list[float], flag: str) -> list[str]:
 
 
 def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
-    outdir = Path(args.output_dir) / "sweep"
     if args.scales and not (args.param or args.values):
         scales = _parse_float_list(args.scales, "scales")
+        if any(s <= 0.0 for s in scales):
+            raise CliError(f"scales must be positive, got {scales}")
         names = _file_names(f"step_{params['variant']}_scale_{{:g}}.csv",
                             scales, "scales")
-        trajs = loop_gain_variants(cfg, plant, scales)
-        outdir.mkdir(parents=True, exist_ok=True)
-        files = [trajectory_file(outdir, name, traj,
-                                 {**params, "gain_scale": scale})
-                 for name, scale, traj in zip(names, scales, trajs)]
+        entries = [(name, {**params, "b_o": params["b_o"] * scale},
+                    {**params, "gain_scale": scale})
+                   for name, scale in zip(names, scales)]
         meta = {**params, "scales": scales}
     elif args.param and args.values and not args.scales:
         values = _parse_float_list(args.values, "values")
         names = _file_names(f"step_{args.param}_{{:g}}.csv", values, "values")
         points = [{**params, args.param: value} for value in values]
-        loops = [make_loop(point) for point in points]  # checks every value
-        cfg.samples()  # and the horizon, which every point shares
-        outdir.mkdir(parents=True, exist_ok=True)
-        files = [trajectory_file(outdir, name, run_closed_loop(*loop), point)
-                 for name, point, loop in zip(names, points, loops)]
+        entries = list(zip(names, points, points))
         meta = {**params, "param": args.param, "values": values}
     else:
         raise CliError("sweep takes either --scales, or --param with "
                        "--values, but not both")
+    outdir = Path(args.output_dir) / "sweep"
+    files = trajectory_files(outdir, {}, {}, entries)
     write_manifest(outdir, meta, files, command="sweep")
     print(f"wrote {len(files)} trajectories under {outdir}")
     return 0
@@ -332,7 +330,7 @@ def main(argv=None) -> int:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:
-        print(f"fracadrc: simulation diverged: {exc}", file=sys.stderr)
+        print(f"fracadrc: {exc}", file=sys.stderr)
         return 3
     except UnstableConfigError as exc:
         print(f"fracadrc: {exc}", file=sys.stderr)

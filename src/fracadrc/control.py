@@ -114,13 +114,6 @@ class Trajectory:
         return cls(Ts=float(t[1] - t[0]), **cols)
 
 
-def control_law(u0: float, z2: float, q_hat: float, b: float) -> float:
-    """Disturbance-compensating inner law u = (u0 - z2 - q_hat) / b."""
-    if b == 0.0:
-        raise ValueError("b must be nonzero")
-    return (u0 - z2 - q_hat) / b
-
-
 def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
                     d: DisturbanceSignal | None = None) -> Trajectory:
     """Simulate one closed loop and record every signal per sample.
@@ -167,7 +160,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         # +q_hat aligned with the -q_hat the control carries
         obs.loop_step(u_prev, y)
         u0 = cfg.K * (v_d - obs.z1)
-        u = control_law(u0, obs.z2, obs.q_hat, cfg.b)
+        u = (u0 - obs.z2 - obs.q_hat) / cfg.b
         ya[k] = y
         ua[k] = u
         u0a[k] = u0
@@ -180,16 +173,3 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         u_prev = u
     return Trajectory(t=t, v_d=vd, y=ya, u=ua, u0=u0a, z1=z1a, z2=z2a,
                       q_hat=qha, d=darr, Ts=cfg.Ts)
-
-
-def loop_gain_variants(cfg: AdrcConfig, plant: FracPlant, scales,
-                       v_d: float = 1.0, d=None) -> list[Trajectory]:
-    """Re-run the loop with the true plant gain scaled while the controller
-    keeps its nominal b; one trajectory per scale."""
-    scales = [float(s) for s in scales]
-    if not scales:
-        raise ValueError("scales must be nonempty")
-    if any(s <= 0.0 for s in scales):
-        raise ValueError(f"scales must be positive, got {scales}")
-    return [run_closed_loop(cfg, plant.with_gain_scale(s), v_d, d)
-            for s in scales]

@@ -101,11 +101,34 @@ def write_manifest(outdir: Path, parameters: dict, files: list[dict],
     return manifest
 
 
-def trajectory_file(outdir: Path, name: str, traj: Trajectory,
-                    parameters: dict) -> dict:
-    """Write `traj` as <outdir>/<name>; returns its manifest entry."""
-    traj.to_csv(outdir / name)
-    return {"path": name, "kind": "trajectory", "parameters": parameters}
+def trajectory_files(outdir: Path, runs: dict, data: dict,
+                     entries: list[tuple[str, dict, dict]]) -> list[dict]:
+    """Write one trajectory CSV per (file name, loop point, manifest
+    parameters) entry under `outdir`; returns their manifest entries.
+
+    A loop point (DEFAULT_PARAMS keys and `variant`) is keyed in `runs`
+    (key -> (Trajectory, CSV path)) by its sorted items.  A loop already
+    there is copied from its CSV; every other is simulated before `outdir`
+    is made, then written and recorded.  `data` gets each file's
+    Trajectory, for metrics.csv.
+    """
+    keys = [tuple(sorted(point.items())) for _, point, _ in entries]
+    loops = {key: make_loop(point)  # checks every point before any run
+             for key, (_, point, _) in zip(keys, entries) if key not in runs}
+    new = {key: run_closed_loop(*loop) for key, loop in loops.items()}
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for key, (name, _, parameters) in zip(keys, entries):
+        if key in runs:
+            data[name], source = runs[key]
+            shutil.copyfile(source, outdir / name)
+        else:
+            data[name] = traj = new[key]
+            traj.to_csv(outdir / name)
+            runs[key] = traj, outdir / name
+        files.append({"path": name, "kind": "trajectory",
+                      "parameters": parameters})
+    return files
 
 
 def mse_curves(grid: np.ndarray,
@@ -134,7 +157,7 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray,
                     params["b"], params["mu"], params["omega_o"])
         mag, phase = bode(G, grid)
         name = f"bode_g_{tag}.csv"
-        write_bode_csv(outdir / name, grid, mag.values, phase.values)
+        write_bode_csv(outdir / name, grid, mag, phase)
         files.append({"path": name, "kind": "bode",
                       "parameters": {**params, "transfer": f"g_{tag}"}})
     return files
@@ -150,12 +173,6 @@ def _stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
                                    "q_den": poly.q_den}}
 
 
-def _loop_key(point: dict, scale: float) -> tuple:
-    """The loop `point` simulates with its true plant gain b_o scaled by
-    `scale`, as a hashable key of `run_experiment`'s `runs`."""
-    return tuple(sorted({**point, "b_o": point["b_o"] * scale}.items()))
-
-
 def run_experiment(exp_id: str, output_dir: str | Path = "results",
                    overrides: dict | None = None, *,
                    runs: dict | None = None) -> dict:
@@ -164,9 +181,9 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     Only `custom` takes `overrides` (DEFAULT_PARAMS keys and `variant`);
     every figure experiment runs its own frozen parameters.  `runs` is
     shared by the experiments of one invocation so that each distinct loop
-    is simulated once: fig11 records each of its runs there as
-    loop key -> (Trajectory, path of its CSV), and fig12-fig14 copy a
-    recorded run's CSV instead of simulating that loop again.
+    is simulated once (see `trajectory_files`): fig12-fig14 copy fig11's
+    CSV for their scale-1 loop.  A gain scale s runs the loop point with
+    b_o * s.
     """
     if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
         raise ValueError(f"unknown experiment id {exp_id!r}")
@@ -216,31 +233,19 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         manifest_params = params
 
     elif exp_id == "fig11":
-        for variant in AdrcVariant:
-            point = {**params, "variant": variant.value}
-            name = f"step_{variant.value}.csv"
-            data[name] = traj = run_closed_loop(*make_loop(point))
-            files.append(trajectory_file(outdir, name, traj, point))
-            runs[_loop_key(point, 1.0)] = traj, outdir / name
+        points = [{**params, "variant": v.value} for v in AdrcVariant]
+        files = trajectory_files(outdir, runs, data, [
+            (f"step_{point['variant']}.csv", point, point)
+            for point in points])
         manifest_params = params
 
     elif exp_id in LOOP_GAIN_VARIANTS:
-        variant = LOOP_GAIN_VARIANTS[exp_id]
-        point = {**params, "variant": variant.value}
-        cfg, plant = make_loop(point)
-        for scale in LOOP_GAIN_SCALES:
-            name = f"step_{variant.value}_scale_{scale:g}.csv"
-            parameters = {**point, "gain_scale": scale}
-            recorded = runs.get(_loop_key(point, scale))
-            if recorded is None:
-                data[name] = traj = run_closed_loop(
-                    cfg, plant.with_gain_scale(scale))
-                files.append(trajectory_file(outdir, name, traj, parameters))
-            else:
-                data[name], source = recorded
-                shutil.copyfile(source, outdir / name)
-                files.append({"path": name, "kind": "trajectory",
-                              "parameters": parameters})
+        point = {**params, "variant": LOOP_GAIN_VARIANTS[exp_id].value}
+        files = trajectory_files(outdir, runs, data, [
+            (f"step_{point['variant']}_scale_{scale:g}.csv",
+             {**point, "b_o": point["b_o"] * scale},
+             {**point, "gain_scale": scale})
+            for scale in LOOP_GAIN_SCALES])
         manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
 
     else:  # custom
@@ -250,9 +255,8 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         if not report.stable:
             write_manifest(outdir, manifest_params, files, experiment=exp_id)
             raise UnstableConfigError(report)
-        data["trajectory.csv"] = traj = run_closed_loop(cfg, plant)
-        files.append(trajectory_file(outdir, "trajectory.csv", traj,
-                                     manifest_params))
+        files += trajectory_files(outdir, runs, data, [
+            ("trajectory.csv", manifest_params, manifest_params)])
 
     manifest = write_manifest(outdir, manifest_params, files,
                               experiment=exp_id)

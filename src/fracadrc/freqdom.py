@@ -10,32 +10,11 @@ gain b = b_o), and Bode sampling over log grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import write_csv
 from .fracops import frac_pow
-
-CURVE_KINDS = ("complex_response", "mse", "mag_db", "phase_deg")
-
-
-@dataclass(frozen=True, eq=False)
-class FreqCurve:
-    """Values sampled on a strictly increasing frequency grid (rad/s)."""
-
-    omega: np.ndarray
-    values: np.ndarray
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        if self.omega.size != self.values.size:
-            raise ValueError("omega and values must have equal length")
-        if self.omega.size == 0 or np.any(np.diff(self.omega) <= 0.0):
-            raise ValueError("omega grid must be nonempty and strictly "
-                             "increasing")
 
 
 def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
@@ -185,7 +164,7 @@ def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
     return float(out) if np.ndim(omega) == 0 else out
 
 
-def bode(G, omega_grid) -> tuple[FreqCurve, FreqCurve]:
+def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude (dB) and unwrapped phase (deg) of G over the grid.
 
     Grid points where G is singular stay in the curves as NaN markers;
@@ -209,7 +188,7 @@ def bode(G, omega_grid) -> tuple[FreqCurve, FreqCurve]:
     mag[finite] = 20.0 * np.log10(np.abs(h[finite]))
     phase = np.full(w.size, np.nan)
     phase[finite] = np.degrees(np.unwrap(np.angle(h[finite])))
-    return (FreqCurve(w, mag, "mag_db"), FreqCurve(w, phase, "phase_deg"))
+    return mag, phase
 
 
 def write_mse_csv(path, omega, e_io, e_ifio) -> None:

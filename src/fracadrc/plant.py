@@ -58,10 +58,6 @@ class FracPlant:
         self.gl.push(y_new)
         return y_new
 
-    def with_gain_scale(self, scale: float) -> "FracPlant":
-        """Fresh plant with b_o scaled; used for loop-gain robustness runs."""
-        return FracPlant(self.a_o, scale * self.b_o, self.mu, self.Ts)
-
 
 @dataclass
 class DisturbanceSignal:

@@ -260,6 +260,12 @@ def test_simulate_divergence_exit_code(tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+def test_divergence_prints_its_cause_once(tmp_path, capsys):
+    assert run_cli("simulate", "--variant", "fadrc", "--mu", "0.6",
+                   "--output-dir", str(tmp_path)) == 3
+    assert capsys.readouterr().err.count("simulation diverged") == 1
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -340,6 +346,15 @@ def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
     assert run_cli("sweep", *argv, "--horizon", "0.01",
                    "--output-dir", str(tmp_path)) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_that_diverges_writes_nothing(tmp_path, capsys):
+    # mu = 0.6 diverges after mu = 0.8 has run; neither is written
+    assert run_cli("sweep", "--param", "mu", "--values", "0.8,0.6",
+                   "--variant", "fadrc", "--horizon", "0.1",
+                   "--output-dir", str(tmp_path)) == 3
+    assert "simulation diverged" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
 
 
@@ -453,6 +468,17 @@ def test_reproduce_all_is_byte_identical_to_reference(reproduce_all_root):
                 hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in root.rglob("*") if p.is_file()}
     assert produced == {rel: rec["sha256"] for rel, rec in reference.items()}
+
+
+def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
+                                                  tmp_path):
+    # both run a gain scale s as the loop with true plant gain b_o * s
+    assert run_cli("sweep", "--scales", "0.5,1,2", "--variant", "iadrc",
+                   "--output-dir", str(tmp_path)) == 0
+    for scale in ("0.5", "1", "2"):
+        name = f"step_iadrc_scale_{scale}.csv"
+        assert ((tmp_path / "sweep" / name).read_bytes()
+                == (reproduce_all_root / "fig12" / name).read_bytes())
 
 
 def test_reproduce_unstable_custom_exit_code(tmp_path, capsys):

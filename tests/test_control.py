@@ -1,11 +1,9 @@
-"""Closed-loop controller: compensation law, simulation driver,
-trajectory serialization, disturbance rejection, and variant reductions."""
+"""Closed-loop controller: simulation driver, trajectory serialization,
+disturbance rejection, gain-scale runs, and variant reductions."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from fracadrc import (
     AdrcConfig,
@@ -19,42 +17,15 @@ from fracadrc import (
     SimulationDiverged,
     Trajectory,
     bandwidth_gains,
-    control_law,
     gl_differintegral,
-    loop_gain_variants,
     reconstruct_disturbances,
     run_closed_loop,
 )
 from fracadrc.artifacts import CSV_BLOCK_ROWS
 from fracadrc.control import TRAJECTORY_COLUMNS
+from fracadrc.experiments import trajectory_files
 
 from helpers import REF, ref_config, ref_plant
-
-
-# ---------------------------------------------------------------------------
-# Compensation law
-# ---------------------------------------------------------------------------
-
-
-def test_control_law_examples():
-    assert control_law(0.0, 0.0, 0.0, 1.0) == 0.0
-    assert control_law(5.0, 2.0, 1.0, 2.0) == 1.0
-
-
-@given(
-    u0=st.floats(min_value=-1e6, max_value=1e6),
-    z2=st.floats(min_value=-1e6, max_value=1e6),
-    q_hat=st.floats(min_value=-1e6, max_value=1e6),
-    b=st.floats(min_value=0.01, max_value=100.0),
-)
-def test_control_law_inverts_disturbance_injection(u0, z2, q_hat, b):
-    u = control_law(u0, z2, q_hat, b)
-    assert b * u + z2 + q_hat == pytest.approx(u0, rel=1e-9, abs=1e-6)
-
-
-def test_control_law_rejects_zero_gain():
-    with pytest.raises(ValueError):
-        control_law(1.0, 0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +237,28 @@ def test_step_disturbance_is_rejected():
 # ---------------------------------------------------------------------------
 
 
-def test_unit_scale_sweep_matches_single_run():
+def scaled_runs(outdir, horizon: float, scales) -> list[Trajectory]:
+    """The reference loop's runs with its true plant gain b_o scaled, as a
+    sweep makes them: gain scale s is the loop point with b_o * s."""
+    point = {**REF, "horizon": horizon,
+             "variant": AdrcConfig.variant.value}
+    data = {}
+    trajectory_files(outdir, {}, data, [
+        (f"scale_{s:g}.csv", {**point, "b_o": point["b_o"] * s}, point)
+        for s in scales])
+    return [data[f"scale_{s:g}.csv"] for s in scales]
+
+
+def test_unit_scale_sweep_matches_single_run(tmp_path):
     cfg = ref_config(horizon=0.1)
     single = run_closed_loop(cfg, ref_plant(), v_d=1.0)
-    (swept,) = loop_gain_variants(cfg, ref_plant(), scales=[1.0], v_d=1.0)
+    (swept,) = scaled_runs(tmp_path, 0.1, [1.0])
     np.testing.assert_array_equal(single.y, swept.y)
     np.testing.assert_array_equal(single.u, swept.u)
 
 
-def test_sweep_returns_one_trajectory_per_scale():
-    cfg = ref_config(horizon=0.05)
-    out = loop_gain_variants(cfg, ref_plant(), scales=[0.5, 1.0, 2.0], v_d=1.0)
+def test_sweep_returns_one_trajectory_per_scale(tmp_path):
+    out = scaled_runs(tmp_path, 0.05, [0.5, 1.0, 2.0])
     assert len(out) == 3
     # Heavier plant gain means larger early output for the same command.
     early = [traj.y[10] for traj in out]

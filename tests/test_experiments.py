@@ -116,6 +116,27 @@ def test_gain_sweep_experiment_alone_simulates_every_scale(tmp_path,
     assert produced == {rel: reference[rel]["sha256"] for rel in produced}
 
 
+def test_trajectory_files_simulates_each_loop_once(tmp_path, monkeypatch):
+    # gain scale 1 is the unscaled loop point: within one call, and across
+    # calls that share `runs`, that loop is simulated once and then copied
+    calls = []
+    run = experiments.run_closed_loop
+    monkeypatch.setattr(experiments, "run_closed_loop",
+                        lambda *args: calls.append(args) or run(*args))
+    point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
+    runs, data = {}, {}
+    experiments.trajectory_files(tmp_path / "a", runs, data, [
+        ("x.csv", point, point),
+        ("y.csv", {**point, "b_o": point["b_o"] * 1.0}, point)])
+    experiments.trajectory_files(tmp_path / "b", runs, data,
+                                 [("z.csv", point, point)])
+    assert len(calls) == 1
+    written = [tmp_path / "a" / "x.csv", tmp_path / "a" / "y.csv",
+               tmp_path / "b" / "z.csv"]
+    assert len({path.read_bytes() for path in written}) == 1
+    assert data["x.csv"] is data["y.csv"] is data["z.csv"]
+
+
 def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown experiment"):
         run_experiment("fig99", tmp_path)
