@@ -17,19 +17,14 @@ from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
-                          UnstableConfigError, bode_files, make_loop,
-                          mse_curves, mse_file, run_experiment, step_metrics,
-                          trajectory_files, write_manifest)
+                          UnstableConfigError, bode_files, gain_scale_entry,
+                          make_loop, mse_curves, mse_file, run_experiment,
+                          step_metrics, trajectory_files, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
 
-PARAM_KEYS = ("a_o", "b_o", "b", "mu", "K", "omega_o", "Ts", "horizon",
-              "variant")
-
-
-class CliError(ValueError):
-    pass
+PARAM_KEYS = (*DEFAULT_PARAMS, "variant")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,7 +71,7 @@ def _build_parser() -> _Parser:
     _add_param_flags(p)
     p.add_argument("--setpoint", type=float, default=1.0,
                    help="constant reference value (default 1.0)")
-    p.add_argument("--dist-kind", choices=DisturbanceSignal.KINDS[:3],
+    p.add_argument("--dist-kind", choices=DisturbanceSignal.KINDS,
                    default="zero", help="input disturbance shape")
     p.add_argument("--dist-amplitude", type=float, default=0.0)
     p.add_argument("--dist-frequency", type=float, default=0.0,
@@ -126,7 +121,7 @@ def _parse_value(key: str, raw: str):
     try:
         return float(raw)
     except ValueError:
-        raise CliError(f"invalid value for '{key}': {raw!r}")
+        raise ValueError(f"invalid value for '{key}': {raw!r}")
 
 
 def load_config_file(path) -> dict:
@@ -134,17 +129,17 @@ def load_config_file(path) -> dict:
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
-        raise CliError(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}")
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in PARAM_KEYS:
-            raise CliError(f"{path}:{lineno}: unknown config key '{key}'")
+            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
         out[key] = _parse_value(key, value)
     return out
 
@@ -197,42 +192,39 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in raw.split(",") if x.strip()]
     except ValueError:
-        raise CliError(f"invalid value for '{flag}': {raw!r}")
+        raise ValueError(f"invalid value for '{flag}': {raw!r}")
     if not values:
-        raise CliError(f"'{flag}' must list at least one value")
+        raise ValueError(f"'{flag}' must list at least one value")
     return values
 
 
-def _file_names(pattern: str, values: list[float], flag: str) -> list[str]:
-    """One file name per value; values that would share a file fail."""
-    names = [pattern.format(v) for v in values]
+def _check_file_names(names: list[str], flag: str) -> None:
+    """`names` has one file per value of --flag; values that would share a
+    file fail."""
     clashes = sorted({n for n in names if names.count(n) > 1})
     if clashes:
-        raise CliError(f"--{flag}: more than one value would write "
-                       f"{', '.join(clashes)}")
-    return names
+        raise ValueError(f"--{flag}: more than one value would write "
+                         f"{', '.join(clashes)}")
 
 
 def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     if args.scales and not (args.param or args.values):
         scales = _parse_float_list(args.scales, "scales")
         if any(s <= 0.0 for s in scales):
-            raise CliError(f"scales must be positive, got {scales}")
-        names = _file_names(f"step_{params['variant']}_scale_{{:g}}.csv",
-                            scales, "scales")
-        entries = [(name, {**params, "b_o": params["b_o"] * scale},
-                    {**params, "gain_scale": scale})
-                   for name, scale in zip(names, scales)]
+            raise ValueError(f"scales must be positive, got {scales}")
+        entries = [gain_scale_entry(params, scale) for scale in scales]
+        _check_file_names([name for name, _, _ in entries], "scales")
         meta = {**params, "scales": scales}
     elif args.param and args.values and not args.scales:
         values = _parse_float_list(args.values, "values")
-        names = _file_names(f"step_{args.param}_{{:g}}.csv", values, "values")
+        names = [f"step_{args.param}_{value:g}.csv" for value in values]
+        _check_file_names(names, "values")
         points = [{**params, args.param: value} for value in values]
         entries = list(zip(names, points, points))
         meta = {**params, "param": args.param, "values": values}
     else:
-        raise CliError("sweep takes either --scales, or --param with "
-                       "--values, but not both")
+        raise ValueError("sweep takes either --scales, or --param with "
+                         "--values, but not both")
     outdir = Path(args.output_dir) / "sweep"
     files = trajectory_files(outdir, {}, {}, entries)
     write_manifest(outdir, meta, files, command="sweep")
@@ -257,8 +249,8 @@ def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 
 def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     if params["b"] != params["b_o"]:
-        raise CliError("invalid value for 'b': closed-form estimation-error "
-                       "curves require matched gain b = b_o")
+        raise ValueError("invalid value for 'b': closed-form estimation-error "
+                         "curves require matched gain b = b_o")
     grid = _grid_from(args, *MSE_GRID[:2])
     outdir = Path(args.output_dir) / "mse"
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,9 +286,9 @@ def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
     given = [f"--{key}" for key in ("config", *PARAM_KEYS)
              if getattr(args, key) is not None]
     if given and args.experiment in (*EXPERIMENT_IDS, "all"):
-        raise CliError(f"reproduce {args.experiment} runs its own fixed "
-                       f"parameters; only 'reproduce custom' takes "
-                       f"{', '.join(given)}")
+        raise ValueError(f"reproduce {args.experiment} runs its own fixed "
+                         f"parameters; only 'reproduce custom' takes "
+                         f"{', '.join(given)}")
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
     manifests = []
@@ -326,7 +318,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, *resolve_params(args))
-    except (ValueError, OSError) as exc:  # CliError is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:

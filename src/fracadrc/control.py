@@ -137,7 +137,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
     if d is not None and not isinstance(d, DisturbanceSignal):
         raise TypeError(f"d must be a DisturbanceSignal or None, "
                         f"got {type(d).__name__}")
-    darr = (d if d is not None else DisturbanceSignal.zero()).render(t)
+    darr = (d if d is not None else DisturbanceSignal()).render(t)
 
     gains = bandwidth_gains(cfg.omega_o)
     if cfg.variant is AdrcVariant.IADRC:

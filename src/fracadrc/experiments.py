@@ -107,10 +107,10 @@ def trajectory_files(outdir: Path, runs: dict, data: dict,
     parameters) entry under `outdir`; returns their manifest entries.
 
     A loop point (DEFAULT_PARAMS keys and `variant`) is keyed in `runs`
-    (key -> (Trajectory, CSV path)) by its sorted items.  A loop already
+    (key -> (metrics, CSV path)) by its sorted items.  A loop already
     there is copied from its CSV; every other is simulated before `outdir`
-    is made, then written and recorded.  `data` gets each file's
-    Trajectory, for metrics.csv.
+    is made, then written and recorded, and its Trajectory dropped.  `data`
+    gets each file's metrics, for metrics.csv.
     """
     keys = [tuple(sorted(point.items())) for _, point, _ in entries]
     loops = {key: make_loop(point)  # checks every point before any run
@@ -120,15 +120,23 @@ def trajectory_files(outdir: Path, runs: dict, data: dict,
     files = []
     for key, (name, _, parameters) in zip(keys, entries):
         if key in runs:
-            data[name], source = runs[key]
-            shutil.copyfile(source, outdir / name)
+            shutil.copyfile(runs[key][1], outdir / name)
         else:
-            data[name] = traj = new[key]
+            traj = new.pop(key)
             traj.to_csv(outdir / name)
-            runs[key] = traj, outdir / name
+            runs[key] = _metrics("trajectory", traj), outdir / name
+        data[name] = runs[key][0]
         files.append({"path": name, "kind": "trajectory",
                       "parameters": parameters})
     return files
+
+
+def gain_scale_entry(point: dict, scale: float) -> tuple[str, dict, dict]:
+    """Trajectory entry of loop `point` (with `variant`) run at the true
+    plant gain b_o * scale."""
+    return (f"step_{point['variant']}_scale_{scale:g}.csv",
+            {**point, "b_o": point["b_o"] * scale},
+            {**point, "gain_scale": scale})
 
 
 def mse_curves(grid: np.ndarray,
@@ -182,8 +190,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     every figure experiment runs its own frozen parameters.  `runs` is
     shared by the experiments of one invocation so that each distinct loop
     is simulated once (see `trajectory_files`): fig12-fig14 copy fig11's
-    CSV for their scale-1 loop.  A gain scale s runs the loop point with
-    b_o * s.
+    CSV for their scale-1 loop.
     """
     if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
         raise ValueError(f"unknown experiment id {exp_id!r}")
@@ -203,13 +210,14 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     outdir = Path(output_dir) / exp_id
     outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
-    # artifact path -> its Trajectory or (e_io, e_ifio), for metrics.csv
-    data: dict[str, object] = {}
+    # artifact path -> its metrics, for metrics.csv
+    data: dict[str, dict] = {}
 
     if exp_id == "fig4":
         grid = log_grid(*MSE_GRID)
         parameters = {**MSE_BASE, **MSE_GRID_PARAMS}
-        data["mse.csv"] = curves = mse_curves(grid, parameters)
+        curves = mse_curves(grid, parameters)
+        data["mse.csv"] = _metrics("mse", curves)
         files.append(mse_file(outdir, "mse.csv", grid, curves, parameters))
         manifest_params = dict(MSE_BASE)
 
@@ -219,7 +227,8 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         for v in values:
             name = f"mse_{key}_{v:g}.csv"
             parameters = {**MSE_BASE, key: v, **MSE_GRID_PARAMS}
-            data[name] = curves = mse_curves(grid, parameters)
+            curves = mse_curves(grid, parameters)
+            data[name] = _metrics("mse", curves)
             files.append(mse_file(outdir, name, grid, curves, parameters))
         manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
 
@@ -242,10 +251,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     elif exp_id in LOOP_GAIN_VARIANTS:
         point = {**params, "variant": LOOP_GAIN_VARIANTS[exp_id].value}
         files = trajectory_files(outdir, runs, data, [
-            (f"step_{point['variant']}_scale_{scale:g}.csv",
-             {**point, "b_o": point["b_o"] * scale},
-             {**point, "gain_scale": scale})
-            for scale in LOOP_GAIN_SCALES])
+            gain_scale_entry(point, scale) for scale in LOOP_GAIN_SCALES])
         manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
 
     else:  # custom
@@ -265,8 +271,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
 
 
 def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
-                 u0: np.ndarray | None = None,
-                 Ts: float | None = None) -> dict:
+                 u0: np.ndarray, Ts: float) -> dict:
     """Step-response quality numbers for one trajectory.
 
     overshoot (% of target), 2%-band settling time, relative steady-state
@@ -277,7 +282,7 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     v_d = np.asarray(v_d, dtype=float)
-    Ts = float(Ts if Ts is not None else (t[1] - t[0]))
+    Ts = float(Ts)
     target = float(v_d[-1])
     scale = abs(target) if target != 0.0 else float(np.max(np.abs(y)))
     if scale == 0.0:
@@ -297,10 +302,9 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
                "settle_2pct_s": settle,
                "ss_error": float(abs(y[-1] - target)) / scale,
                "rise_10_90_s": rise}
-    if u0 is not None:
-        window = t <= TRANSIENT_WINDOW
-        resid = np.gradient(y, Ts)[window] - np.asarray(u0, float)[window]
-        out["comp_resid_rms"] = float(np.sqrt(np.mean(resid * resid)))
+    window = t <= TRANSIENT_WINDOW
+    resid = np.gradient(y, Ts)[window] - np.asarray(u0, float)[window]
+    out["comp_resid_rms"] = float(np.sqrt(np.mean(resid * resid)))
     return out
 
 
@@ -308,23 +312,22 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
 METRIC_KINDS = ("trajectory", "mse")
 
 
-def _metrics_row(entry: dict, data) -> dict:
-    """Metrics row of one trajectory or MSE manifest entry from its data:
-    a Trajectory gives its step_metrics, an (e_io, e_ifio) pair of curves
+def _metrics(kind: str, data) -> dict:
+    """Metrics of one trajectory or MSE artifact from its data: a
+    Trajectory gives its step_metrics, an (e_io, e_ifio) pair of curves
     the peak ratio max_mse_ratio."""
-    if entry["kind"] == "trajectory":
-        metrics = step_metrics(data.t, data.y, data.v_d, data.u0, data.Ts)
-    else:
-        e_io, e_ifio = data
-        metrics = {"max_mse_ratio": float(np.max(e_io / e_ifio))}
-    return {"artifact": entry["path"], "kind": entry["kind"], **metrics}
+    if kind == "trajectory":
+        return step_metrics(data.t, data.y, data.v_d, data.u0, data.Ts)
+    e_io, e_ifio = data
+    return {"max_mse_ratio": float(np.max(e_io / e_ifio))}
 
 
 def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
     """Metrics row of each trajectory/MSE entry of `files`, in order, from
-    `data` (path -> Trajectory or (e_io, e_ifio)); written as
-    <outdir>/metrics.csv.  Returns the rows."""
-    rows = [_metrics_row(entry, data[entry["path"]]) for entry in files
+    `data` (path -> its metrics); written as <outdir>/metrics.csv.
+    Returns the rows."""
+    rows = [{"artifact": entry["path"], "kind": entry["kind"],
+             **data[entry["path"]]} for entry in files
             if entry["kind"] in METRIC_KINDS]
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
@@ -350,12 +353,16 @@ def summarize(manifest: dict | str | Path) -> list[dict]:
     from disk.
 
     Written as metrics.csv beside the manifest, with the same bytes
-    run_experiment wrote from memory.  Returns the rows.
+    run_experiment wrote from memory.  A manifest path is read in its own
+    directory; a manifest dict in its "directory".  Returns the rows.
     """
-    if not isinstance(manifest, dict):
+    if isinstance(manifest, dict):
+        outdir = Path(manifest["directory"])
+    else:
+        outdir = Path(manifest).parent
         with open(manifest) as fh:
             manifest = json.load(fh)
-    outdir = Path(manifest["directory"])
-    data = {entry["path"]: _read_artifact(outdir / entry["path"], entry["kind"])
+    data = {entry["path"]: _metrics(entry["kind"], _read_artifact(
+                outdir / entry["path"], entry["kind"]))
             for entry in manifest["files"] if entry["kind"] in METRIC_KINDS}
     return _write_metrics(outdir, manifest["files"], data)

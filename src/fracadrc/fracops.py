@@ -26,8 +26,6 @@ def gl_coefficients(mu: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if count == 1:
-        return np.ones(1)
     factors = np.empty(count)
     factors[0] = 1.0
     factors[1:] = 1.0 - (mu + 1.0) / np.arange(1.0, count)
@@ -103,16 +101,6 @@ class GLOperator:
     @property
     def size(self) -> int:
         return self._size
-
-    @property
-    def last(self) -> float:
-        """Most recent sample, 0.0 before anything was pushed."""
-        return float(self._hist[self._size - 1]) if self._size else 0.0
-
-    @property
-    def history(self) -> np.ndarray:
-        """Every sample pushed so far (newest last)."""
-        return self._hist[: self._size].copy()
 
     def _flush(self, n: int) -> None:
         """Add every block that ends at history length `n` and feeds a step

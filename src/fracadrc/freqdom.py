@@ -32,12 +32,11 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
     return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
 
 
-def ieso_transfer(omega_o: float, b: float, mu: float, s) -> dict[str, complex]:
+def ieso_transfer(omega_o: float, b: float, s) -> dict[str, complex]:
     """Laplace factors of the integer-order observer.
 
     Returns {z1_y, z1_u, z2_y, z2_u} over the common denominator
-    s**2 + 2*omega_o*s + omega_o**2.  The response does not depend on the
-    plant order; mu is accepted for symmetry with the fractional variant.
+    s**2 + 2*omega_o*s + omega_o**2, whatever the plant order.
     """
     s = complex(s)
     den = s * s + 2.0 * omega_o * s + omega_o * omega_o

@@ -46,11 +46,6 @@ class FracPlant:
             raise ZeroDivisionError(f"transfer-function pole at s={s}")
         return self.b_o / den
 
-    @property
-    def y(self) -> float:
-        """Most recent output sample (0 before the first step)."""
-        return self.gl.last
-
     def step(self, u: float, d: float = 0.0) -> float:
         """Advance one sample under held input u and disturbance d."""
         tail = self.gl.tail_sum()
@@ -63,13 +58,12 @@ class FracPlant:
 class DisturbanceSignal:
     """Additive plant-input disturbance d(t)."""
 
-    KINDS = ("zero", "step", "sinusoid", "samples")
+    KINDS = ("zero", "step", "sinusoid")
 
     kind: str = "zero"
     amplitude: float = 0.0
     frequency: float = 0.0  # rad/s, sinusoid only
     onset: float = 0.0      # seconds, step only
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -78,18 +72,6 @@ class DisturbanceSignal:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"disturbance {name} must be finite, "
                                  f"got {getattr(self, name)}")
-        if self.samples is not None:
-            self.samples = np.asarray(self.samples, dtype=float)
-            if not np.all(np.isfinite(self.samples)):
-                raise ValueError("disturbance samples must be finite")
-        if self.kind == "samples" and self.samples is None:
-            raise ValueError("disturbance kind 'samples' needs samples")
-        if self.kind != "samples" and self.samples is not None:
-            raise ValueError(f"disturbance kind {self.kind!r} takes no samples")
-
-    @classmethod
-    def zero(cls) -> "DisturbanceSignal":
-        return cls()
 
     @classmethod
     def step(cls, amplitude: float, onset: float = 0.0) -> "DisturbanceSignal":
@@ -99,10 +81,6 @@ class DisturbanceSignal:
     def sinusoid(cls, amplitude: float, frequency: float) -> "DisturbanceSignal":
         return cls(kind="sinusoid", amplitude=amplitude, frequency=frequency)
 
-    @classmethod
-    def from_samples(cls, samples) -> "DisturbanceSignal":
-        return cls(kind="samples", samples=np.asarray(samples, dtype=float))
-
     def render(self, t: np.ndarray) -> np.ndarray:
         """Sample the disturbance on the time grid `t`."""
         t = np.asarray(t, dtype=float)
@@ -110,11 +88,7 @@ class DisturbanceSignal:
             return np.zeros(t.size)
         if self.kind == "step":
             return self.amplitude * (t >= self.onset).astype(float)
-        if self.kind == "sinusoid":
-            return self.amplitude * np.sin(self.frequency * t)
-        if self.samples.size < t.size:
-            raise ValueError("disturbance sample record shorter than horizon")
-        return self.samples[: t.size].copy()
+        return self.amplitude * np.sin(self.frequency * t)
 
 
 def reconstruct_disturbances(trajectory, plant, b: float) -> dict[str, np.ndarray]:
@@ -126,8 +100,7 @@ def reconstruct_disturbances(trajectory, plant, b: float) -> dict[str, np.ndarra
     from the GL convolution.  Returns the lumped total disturbance seen by
     each observer structure plus the derivative mismatch q = ydot - y^(mu):
 
-      f_ifo = -a_o*y + (b_o - b)*u + d        (improved fractional observer)
-      f_fo  = same signal                      (fractional observer)
+      f_ifo = -a_o*y + (b_o - b)*u + d        (both fractional observers)
       f_io  = f_ifo + q                        (integer observer)
     """
     y = np.asarray(trajectory.y, dtype=float)
@@ -142,4 +115,4 @@ def reconstruct_disturbances(trajectory, plant, b: float) -> dict[str, np.ndarra
     ymu = gl_differintegral(y, plant.mu, Ts)
     q = ydot - ymu
     f_ifo = -plant.a_o * y + (plant.b_o - b) * u + d
-    return {"f_ifo": f_ifo, "f_io": f_ifo + q, "f_fo": f_ifo.copy(), "q": q}
+    return {"f_ifo": f_ifo, "f_io": f_ifo + q, "q": q}

@@ -21,23 +21,23 @@ from .plant import FracPlant
 MAX_DEGREE = 300
 SECTOR_GUARD = 1e-9
 RESIDUAL_TOL = 1e-8
+ORDER_TOL = 1e-9
+MAX_DEN = 100
 
 
-def rationalize_order(mu: float, tol: float = 1e-9,
-                      max_den: int = 100) -> tuple[int, int]:
-    """Smallest-denominator coprime p/q matching mu within tol, q <= max_den."""
+def rationalize_order(mu: float) -> tuple[int, int]:
+    """Smallest-denominator coprime p/q matching mu within ORDER_TOL,
+    q <= MAX_DEN."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    for q_den in range(1, max_den + 1):
+    for q_den in range(1, MAX_DEN + 1):
         p = round(mu * q_den)
         if p < 1 or p >= q_den or math.gcd(p, q_den) != 1:
             continue
-        if abs(p / q_den - mu) <= tol:
+        if abs(p / q_den - mu) <= ORDER_TOL:
             return p, q_den
-    raise ValueError(f"no rational p/q with q <= {max_den} matches "
-                     f"mu={mu} within {tol}")
+    raise ValueError(f"no rational p/q with q <= {MAX_DEN} matches "
+                     f"mu={mu} within {ORDER_TOL}")
 
 
 @dataclass(frozen=True, eq=False)

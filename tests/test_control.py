@@ -108,8 +108,6 @@ def test_config_validation():
                  id="DisturbanceSignal.frequency"),
     pytest.param(lambda v: DisturbanceSignal.step(1.0, v),
                  id="DisturbanceSignal.onset"),
-    pytest.param(lambda v: DisturbanceSignal.from_samples([0.0, v, 1.0]),
-                 id="DisturbanceSignal.samples"),
     pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.001),
                                            ref_plant(), v_d=v),
                  id="run_closed_loop.v_d"),
@@ -242,11 +240,10 @@ def scaled_runs(outdir, horizon: float, scales) -> list[Trajectory]:
     sweep makes them: gain scale s is the loop point with b_o * s."""
     point = {**REF, "horizon": horizon,
              "variant": AdrcConfig.variant.value}
-    data = {}
-    trajectory_files(outdir, {}, data, [
+    trajectory_files(outdir, {}, {}, [
         (f"scale_{s:g}.csv", {**point, "b_o": point["b_o"] * s}, point)
         for s in scales])
-    return [data[f"scale_{s:g}.csv"] for s in scales]
+    return [Trajectory.from_csv(outdir / f"scale_{s:g}.csv") for s in scales]
 
 
 def test_unit_scale_sweep_matches_single_run(tmp_path):
@@ -279,3 +276,31 @@ def test_fractional_variants_reduce_to_integer_variant(variant):
     other = run_closed_loop(cfg, ref_plant(mu=mu), v_d=1.0)
     rms = np.sqrt(np.mean((other.y - base.y) ** 2))
     assert rms < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Smallest stable sampling rate
+# ---------------------------------------------------------------------------
+
+# Hz, at the reference K, omega_o, a_o and b = b_o: the bisected limits of
+# README's "Numerical notes" table
+STABLE_RATES = {
+    "iadrc": {0.7: 1.1e3, 0.8: 0.82e3, 0.9: 0.67e3},
+    "fadrc": {0.7: 12.1e3, 0.8: 3.4e3, 0.9: 1.3e3},
+    "ifadrc": {0.7: 7.2e3, 0.8: 2.4e3, 0.9: 1.07e3},
+}
+
+
+@pytest.mark.parametrize("mu", [0.7, 0.8, 0.9])
+@pytest.mark.parametrize("variant", list(STABLE_RATES))
+def test_smallest_stable_sampling_rate(variant, mu):
+    def run(rate, horizon):
+        Ts = 1.0 / rate
+        return run_closed_loop(
+            ref_config(variant=variant, Ts=Ts, horizon=horizon),
+            ref_plant(mu=mu, Ts=Ts))
+
+    rate = STABLE_RATES[variant][mu]
+    with pytest.raises(SimulationDiverged):
+        run(0.85 * rate, 200 / (0.85 * rate))
+    assert np.max(np.abs(run(1.15 * rate, 0.5).y)) < 1.5

@@ -201,7 +201,7 @@ def test_custom_experiment_gates_on_stability(tmp_path):
 def test_step_metrics_on_flat_zero_error_trajectory():
     t = np.linspace(0, 1, 101)
     y = np.ones_like(t)
-    m = step_metrics(t, y, np.ones_like(t))
+    m = step_metrics(t, y, np.ones_like(t), np.zeros_like(t), t[1] - t[0])
     assert m["overshoot_pct"] == 0.0
     assert m["settle_2pct_s"] == 0.0
     assert m["ss_error"] == 0.0
@@ -250,6 +250,22 @@ def test_summarize_rewrites_the_metrics_run_experiment_wrote(tmp_path, fid):
     metrics.unlink()
     summarize(tmp_path / fid / "manifest.json")
     assert metrics.read_bytes() == from_memory
+
+
+def test_summarize_reads_the_directory_of_the_manifest_path(tmp_path,
+                                                            monkeypatch):
+    # the manifest's "directory" is relative to where run_experiment ran
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    run_experiment("fig5", "results")
+    metrics = tmp_path / "a" / "results" / "fig5" / "metrics.csv"
+    from_memory = metrics.read_bytes()
+    metrics.unlink()
+    monkeypatch.chdir(tmp_path / "b")
+    summarize(metrics.with_name("manifest.json"))
+    assert metrics.read_bytes() == from_memory
+    assert not (tmp_path / "b" / "results").exists()
 
 
 def test_summarize_mse_experiment(tmp_path):

@@ -242,7 +242,8 @@ def test_operator_history():
     for v in (1.0, 2.0, 3.0):
         op.apply(v)
     assert op.size == 3
-    assert op.history.tolist() == [1.0, 2.0, 3.0]
+    w = gl_coefficients(0.5, 4)
+    assert op.tail_sum() == pytest.approx(w[1] * 3.0 + w[2] * 2.0 + w[3])
 
 
 def test_operator_validates_inputs():

@@ -194,13 +194,13 @@ def test_improved_observer_gain_matches_transfer_function():
 def test_integer_observer_gain_matches_transfer_function(omega):
     obs = Ieso(bandwidth_gains(400.0), b=1.0, Ts=REF_TS)
     measured = _measured_gain(obs, omega, REF_TS)
-    expected = abs(ieso_transfer(400.0, 1.0, 0.8, 1j * omega)["z1_y"])
+    expected = abs(ieso_transfer(400.0, 1.0, 1j * omega)["z1_y"])
     assert abs(measured - expected) / expected < 0.02
 
 
 def test_transfer_dicts_reduce_at_integer_order():
     s = 1j * 70.0
-    ie = ieso_transfer(400.0, 1.0, 1.0, s)
+    ie = ieso_transfer(400.0, 1.0, s)
     ife = ifeso_transfer(400.0, 1.0, 1.0, s)
     for key in ("z1_y", "z1_u", "z2_y", "z2_u"):
         assert ife[key] == pytest.approx(ie[key], rel=1e-12)

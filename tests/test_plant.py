@@ -142,23 +142,9 @@ def test_disturbance_sinusoid_uses_radian_frequency():
     assert d[1] == pytest.approx(2.0, rel=1e-12)
 
 
-def test_disturbance_samples_passthrough():
-    t = np.linspace(0, 1, 4)
-    raw = np.array([1.0, -2.0, 3.0, 0.5])
-    d = DisturbanceSignal(kind="samples", samples=raw).render(t)
-    np.testing.assert_array_equal(d, raw)
-
-
 def test_disturbance_rejects_unknown_kind():
     with pytest.raises(ValueError):
         DisturbanceSignal(kind="ramp").render(np.linspace(0, 1, 3))
-
-
-def test_disturbance_samples_go_with_the_samples_kind_only():
-    with pytest.raises(ValueError, match="needs samples"):
-        DisturbanceSignal(kind="samples")
-    with pytest.raises(ValueError, match="takes no samples"):
-        DisturbanceSignal(kind="step", amplitude=1.0, samples=[5.0, 5.0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +165,6 @@ def test_no_model_error_means_no_disturbance():
     traj, fresh = _closed_loop_record(a_o=0.0)
     rec = reconstruct_disturbances(traj, fresh, b=1.0)
     assert np.max(np.abs(rec["f_ifo"])) < 1e-12
-    assert np.max(np.abs(rec["f_fo"])) < 1e-12
 
 
 def test_integer_view_disturbance_is_pole_feedback():
