@@ -3,8 +3,8 @@
 Subcommands: simulate, sweep, bode, mse, stability, reproduce.  Parameters
 resolve in three layers: built-in defaults, then a flat `key = value`
 config file (--config), then explicit flags.  Exit codes: 0 success /
-stable verdict, 1 invalid arguments, 2 unstable verdict, 3 simulation
-divergence.
+stable verdict, 1 invalid arguments or a root solve that fails its
+residual check, 2 unstable verdict, 3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, *resolve_params(args))
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:

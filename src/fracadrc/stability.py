@@ -4,6 +4,11 @@ The loop order mu is rationalized to p/q; substituting w = s**(1/q) turns
 the closed-loop characteristic equation into an ordinary polynomial in w,
 and the loop is stable iff every root satisfies |arg(w_i)| > lambda*pi/2
 with lambda = 1/q.
+
+Roots come from the companion-matrix eigenvalues (`np.roots`) below degree
+ABERTH_MIN_DEGREE, and from an Aberth-Ehrlich iteration on the nonzero
+terms at or above it, which falls back to the eigenvalues unless it
+converges and its inclusion disks are pairwise disjoint.
 """
 
 from __future__ import annotations
@@ -23,6 +28,12 @@ SECTOR_GUARD = 1e-9
 RESIDUAL_TOL = 1e-8
 ORDER_TOL = 1e-9
 MAX_DEN = 100
+# Root source switch, at the measured crossover: the Aberth solve takes
+# a median 1.13 / 1.06 / 0.89 / 0.52 times the companion eigensolve's time
+# at degree 35-39 / 40-44 / 45-49 / 70-74 (2-vCPU x86, BLAS on 1 thread).
+ABERTH_MIN_DEGREE = 40
+ABERTH_MAX_SWEEPS = 100
+ABERTH_STEP_TOL = 1e-14
 
 
 def rationalize_order(mu: float) -> tuple[int, int]:
@@ -81,43 +92,146 @@ def build_char_poly(b: float, b_o: float, a_o: float, K: float, beta1: float,
 
 
 def _normalized_residuals(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """|P(w)| / sum_k |c_k| * max(1, |w|)**k, one entry per root."""
-    vals = np.abs(npoly.polyval(roots, c))
+    """|P(w)| / sum_k |c_k| * max(1, |w|)**k, one entry per root; NaN
+    where that cannot be evaluated in floating point."""
+    # hypot, not np.abs: it is the scalar abs(w) bit for bit, which the
+    # frozen fig10 report's residual_max was computed with
+    modulus = np.hypot(roots.real, roots.imag)
     powers = np.arange(c.size)
-    absc = np.abs(c)
-    scale = np.array([np.sum(absc * np.maximum(1.0, abs(w)) ** powers)
-                      for w in roots])
-    return vals / scale
+    with np.errstate(all="ignore"):
+        res = np.abs(npoly.polyval(roots, c)) / np.sum(
+            np.abs(c) * np.maximum(1.0, modulus)[:, None] ** powers, axis=1)
+        big = ~np.isfinite(res) & (modulus > 1.0)
+        if big.any():  # |w|**k overflowed: divide P(w) and the scale by w**n
+            rev = c[::-1]
+            res[big] = (np.abs(npoly.polyval(1.0 / roots[big], rev))
+                        / np.sum(np.abs(rev) * (1.0 / modulus[big])[:, None]
+                                 ** powers, axis=1))
+    return res
+
+
+def _scaled_terms(z: np.ndarray, powers: np.ndarray,
+                  log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms c_k * z**k of the nonzero powers, one row per z, each row
+    divided by exp(m) with m its largest log|c_k * z**k|, and m: no
+    power of z is formed, so nothing overflows."""
+    logs = np.log(z)[:, None] * powers + log_c
+    m = logs.real.max(axis=1)
+    return np.exp(logs - m[:, None]), m
+
+
+def _newton_polygon_starts(powers: np.ndarray, log_abs: np.ndarray,
+                           n: int) -> np.ndarray:
+    """n starting points: each edge of the Newton polygon (the upper convex
+    hull of the points (k, log|c_k|)) from power i to power j puts j - i
+    points on the circle of radius (|c_i| / |c_j|)**(1 / (j - i))."""
+    hull: list[int] = []
+    for i in range(powers.size):
+        while len(hull) >= 2 and (
+                (log_abs[hull[-1]] - log_abs[hull[-2]])
+                * (powers[i] - powers[hull[-2]])
+                <= (log_abs[i] - log_abs[hull[-2]])
+                * (powers[hull[-1]] - powers[hull[-2]])):
+            hull.pop()
+        hull.append(i)
+    starts = []
+    for lo, hi in zip(hull[:-1], hull[1:]):
+        m = powers[hi] - powers[lo]
+        radius = np.exp((log_abs[lo] - log_abs[hi]) / m)
+        theta = 2.0 * np.pi * (np.arange(m) / m + powers[lo] / n) + 0.7
+        starts.append(radius * np.exp(1j * theta))
+    return np.concatenate(starts)
+
+
+def _disks_disjoint(c: np.ndarray, z: np.ndarray) -> bool:
+    """Whether the disks |w - z_i| <= n |P(z_i)| / |c_n prod_{j != i}
+    (z_i - z_j)| are pairwise disjoint.  Together they hold all n roots of
+    P, and then one root each (Carstensen, Numer. Math. 59, 1991)."""
+    n = c.size - 1
+    powers = np.flatnonzero(c)
+    with np.errstate(all="ignore"):
+        terms, m = _scaled_terms(z, powers,
+                                 np.log(c[powers].astype(complex)))
+        log_p = m + np.log(np.abs(terms.sum(axis=1)))
+        dist = np.abs(z[:, None] - z)
+        np.fill_diagonal(dist, 1.0)
+        radii = n * np.exp(log_p - np.log(abs(c[-1]))
+                           - np.log(dist).sum(axis=1))
+        np.fill_diagonal(dist, np.inf)
+        return bool(np.all(dist > radii[:, None] + radii))
+
+
+def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
+    """All roots by the Aberth-Ehrlich iteration (Bini, Numer. Algorithms
+    13, 1996) from the Newton-polygon starts, evaluating P and P' from the
+    nonzero terms only; None unless it converges within ABERTH_MAX_SWEEPS
+    sweeps and its inclusion disks are pairwise disjoint."""
+    n = c.size - 1
+    if c[0] == 0.0 or not np.all(np.isfinite(c)):  # no logarithm to take
+        return None
+    powers = np.flatnonzero(c)
+    log_c = np.log(c[powers].astype(complex))
+    z = _newton_polygon_starts(powers, log_c.real, n)
+    active = np.arange(n)
+    with np.errstate(all="ignore"):
+        for _ in range(ABERTH_MAX_SWEEPS):
+            za = z[active]
+            terms, _ = _scaled_terms(za, powers, log_c)
+            value = terms.sum(axis=1)
+            newton = za * value / (terms @ powers)  # P / P'
+            diff = za[:, None] - z
+            diff[np.arange(active.size), active] = np.inf
+            pull = np.reciprocal(diff, out=diff).sum(axis=1)
+            step = newton / (1.0 - newton * pull)
+            z[active] = za - step
+            # a root also stops once P(z) is within the rounding error of
+            # its terms, each of which carries k * |log z| ulps from z**k
+            noise = (2.0 * np.finfo(float).eps
+                     * np.maximum(1.0, np.abs(np.log(za)))
+                     * (np.abs(terms) @ (1.0 + powers)))
+            active = active[(np.abs(step) > ABERTH_STEP_TOL * np.abs(za))
+                            & (np.abs(value) > noise)]
+            if active.size == 0:
+                break
+        else:
+            return None
+    return z if _disks_disjoint(c, z) else None
 
 
 def poly_roots(poly: CharPoly) -> np.ndarray:
-    """All complex roots, via eigenvalues of the balanced companion matrix
-    plus one Newton polish per root, verified against a residual bound.
+    """All complex roots, from the Aberth iteration at degree >=
+    ABERTH_MIN_DEGREE when it certifies them, else from the eigenvalues
+    of the balanced companion matrix; then one Newton polish per root,
+    verified against a residual bound.
 
-    Raises ArithmeticError with the per-root residuals if the bound fails.
-    Output is sorted by (real, imag) so repeated calls are reproducible.
+    Raises ArithmeticError with the degree and the largest residual if
+    any residual exceeds the bound or is not finite.  Output is sorted by
+    (real, imag) so repeated calls are reproducible.
     """
     c = poly.coeffs
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
     if c[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
-    roots = np.roots(c[::-1]).astype(complex)
-    dc = npoly.polyder(c)
-    pv = npoly.polyval(roots, c)
-    dv = npoly.polyval(roots, dc)
-    safe = dv != 0
-    polished = np.where(safe, roots - pv / np.where(safe, dv, 1.0), roots)
+    roots = _aberth_roots(c) if poly.degree >= ABERTH_MIN_DEGREE else None
+    if roots is None:
+        roots = np.roots(c[::-1]).astype(complex)
+    with np.errstate(all="ignore"):  # a non-finite step is not taken
+        pv = npoly.polyval(roots, c)
+        dv = npoly.polyval(roots, npoly.polyder(c))
+        safe = dv != 0
+        polished = np.where(safe, roots - pv / np.where(safe, dv, 1.0),
+                            roots)
     r_raw = _normalized_residuals(c, roots)
     r_pol = _normalized_residuals(c, polished)
     take = r_pol <= r_raw
     roots = np.where(take, polished, roots)
     residuals = np.where(take, r_pol, r_raw)
-    worst = float(np.max(residuals))
-    if worst > RESIDUAL_TOL:
+    if not np.all(residuals <= RESIDUAL_TOL):  # a NaN fails too
         raise ArithmeticError(
-            f"root refinement failed: max normalized residual {worst:.3e} "
-            f"exceeds {RESIDUAL_TOL:.1e}; residuals={residuals!r}")
+            f"root solve of the degree-{poly.degree} characteristic "
+            f"polynomial failed its residual check: max normalized residual "
+            f"{np.max(residuals):.3e} (bound {RESIDUAL_TOL:.1e})")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
 

@@ -26,6 +26,12 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def _src_env() -> dict:
+    """The environment of a subprocess that imports this checkout."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+
+
 # ---------------------------------------------------------------------------
 # Argument and config handling
 # ---------------------------------------------------------------------------
@@ -167,6 +173,19 @@ def test_stability_verdict_exit_codes(capsys):
     assert "stable" in capsys.readouterr().out
     assert run_cli("stability", "--b_o", "-1") == 2
     assert "unstable" in capsys.readouterr().out
+
+
+def test_failed_root_check_is_one_error_line(tmp_path):
+    # in a subprocess, so that a numpy warning would reach stderr too; the
+    # degree-14 solve of K = 1e200 leaves nine roots at 0, residual 0.995
+    proc = subprocess.run([sys.executable, "-m", "fracadrc.cli", "stability",
+                           "--K", "1e200"], cwd=tmp_path, env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("fracadrc: error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "degree-14" in proc.stderr
+    assert "max normalized residual 9.950e-01" in proc.stderr
 
 
 def test_stability_report_file(tmp_path):
@@ -537,8 +556,6 @@ for argv in (["stability"], ["simulate", "--horizon", "0.05"], ["bode"],
 
 
 def test_commands_run_without_scipy(tmp_path):
-    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path,
-                          env=env, capture_output=True, text=True)
+                          env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

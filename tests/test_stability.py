@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
+from fracadrc import stability
 from fracadrc import (
     CharPoly,
     bandwidth_gains,
@@ -203,3 +205,114 @@ def test_loop_gate_matches_its_composition(mu):
     np.testing.assert_array_equal(poly.coeffs, expected.coeffs)
     assert (poly.p, poly.q_den) == (p, q_den)
     assert report.margin == sector_test(expected).margin
+
+
+# ---------------------------------------------------------------------------
+# Root sources: companion eigenvalues and the certified Aberth iteration
+# ---------------------------------------------------------------------------
+
+
+def _eig_only(monkeypatch):
+    # every degree on the companion-eigenvalue path
+    monkeypatch.setattr(stability, "ABERTH_MIN_DEGREE", 10**9)
+
+
+def _loop_residuals(c, roots):
+    # the per-root loop the broadcast residuals replaced
+    vals = np.abs(npoly.polyval(roots, c))
+    powers = np.arange(c.size)
+    scale = np.array([np.sum(np.abs(c) * np.maximum(1.0, abs(w)) ** powers)
+                      for w in roots])
+    return vals / scale
+
+
+@pytest.mark.parametrize("mu", [0.6, 0.8, 0.73])
+def test_broadcast_residuals_match_the_per_root_loop(mu):
+    poly, _ = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    roots = np.roots(poly.coeffs[::-1])
+    np.testing.assert_array_equal(
+        stability._normalized_residuals(poly.coeffs, roots),
+        _loop_residuals(poly.coeffs, roots))
+
+
+@pytest.mark.parametrize("mu", [0.37, 0.51, 0.73, 0.87])
+@pytest.mark.parametrize("K, b_o, omega_o", [(150.0, 1.0, 400.0),
+                                             (1e4, 0.5, 100.0),
+                                             (10.0, 2.0, 3000.0),
+                                             (150.0, -1.0, 400.0)])
+def test_aberth_roots_match_the_eigenvalues(monkeypatch, mu, K, b_o,
+                                            omega_o):
+    poly, report = loop_sector_test(ref_config(K=K, omega_o=omega_o),
+                                    ref_plant(mu=mu, b_o=b_o))
+    assert poly.degree >= stability.ABERTH_MIN_DEGREE
+    assert stability._aberth_roots(poly.coeffs) is not None
+    roots, eig = poly_roots(poly), np.roots(poly.coeffs[::-1])
+    # root for root: each eigenvalue's nearest root, a different one each
+    gap = np.abs(eig[:, None] - roots[None, :])
+    nearest = gap.argmin(axis=1)
+    assert np.unique(nearest).size == roots.size
+    assert np.all(gap.min(axis=1) <= 1e-10 * np.maximum(1.0, np.abs(eig)))
+    _eig_only(monkeypatch)
+    eig_report = sector_test(poly)
+    assert report.stable == eig_report.stable
+    assert report.margin == pytest.approx(eig_report.margin, abs=1e-12)
+
+
+def test_double_root_falls_back_to_the_eigenvalues(monkeypatch):
+    # (w - 2)**2 * (w**40 + 1): the double root never meets the step test
+    c = npoly.polymul(npoly.polyfromroots([2.0, 2.0]),
+                      np.r_[1.0, np.zeros(39), 1.0])
+    poly = CharPoly(coeffs=c, p=0, q_den=1)
+    assert poly.degree == 42 >= stability.ABERTH_MIN_DEGREE
+    assert stability._aberth_roots(c) is None
+    roots = poly_roots(poly)
+    _eig_only(monkeypatch)
+    np.testing.assert_array_equal(roots, poly_roots(poly))
+
+
+def test_inclusion_disks_reject_a_repeated_approximation():
+    poly, _ = loop_sector_test(ref_config(), ref_plant(mu=0.73))
+    roots = poly_roots(poly)
+    assert stability._disks_disjoint(poly.coeffs, roots)
+    twice = roots.copy()
+    twice[1] = twice[0]  # one root found twice, its neighbour not at all
+    assert not stability._disks_disjoint(poly.coeffs, twice)
+
+
+def test_nan_residual_fails_the_root_check(monkeypatch):
+    # a NaN must fail the check, not pass it as NaN > tol == False
+    residuals = stability._normalized_residuals
+
+    def one_nan(c, roots):
+        res = residuals(c, roots)
+        res[0] = np.nan
+        return res
+
+    monkeypatch.setattr(stability, "_normalized_residuals", one_nan)
+    with pytest.raises(ArithmeticError, match="degree-14"):
+        poly_roots(ref_poly())
+
+
+def test_huge_gain_fails_the_root_check_at_degree_14():
+    # np.roots puts nine of the fourteen roots at exactly 0, with residual
+    # 0.995; the other five once overflowed to NaN residuals that hid them
+    with pytest.raises(ArithmeticError, match="residual 9.950e-01"):
+        loop_sector_test(ref_config(K=1e200), ref_plant())
+
+
+def test_huge_gain_solves_on_the_scaled_aberth_path():
+    # the nonzero terms are evaluated scaled, so K = 1e200 does not
+    # overflow at degree 273 and agrees with K = 1e9
+    _, huge = loop_sector_test(ref_config(K=1e200), ref_plant(mu=0.73))
+    _, large = loop_sector_test(ref_config(K=1e9), ref_plant(mu=0.73))
+    assert huge.stable and large.stable
+    assert huge.margin == pytest.approx(large.margin, abs=1e-9)
+
+
+@pytest.mark.parametrize("mu", [1 / 60, 1 / 100])
+def test_residuals_of_large_roots_are_verified(mu):
+    # a root near 810 at degree 2q + 1 makes |w|**k overflow; its residual
+    # is then evaluated as P(w) / w**n, and must still be checked
+    _, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    assert np.all(np.isfinite(report.residuals))
+    assert np.max(report.residuals) <= 1e-8
