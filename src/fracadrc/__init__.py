@@ -8,12 +8,11 @@ analysis, and closed-form disturbance-estimation error curves.
 """
 
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged, Trajectory,
-                      run_closed_loop)
+                      loop_symbol, run_closed_loop)
 from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, UnstableConfigError,
                           run_experiment, step_metrics, summarize)
 from .fracops import GLOperator, frac_pow, gl_coefficients, gl_differintegral
-from .freqdom import (bode, delta, g_ifio, g_io, ieso_transfer, ifeso_transfer,
-                      log_grid, mse_ifio, mse_io)
+from .freqdom import bode, delta, g_ifio, g_io, log_grid, mse_ifio, mse_io
 from .observers import Feso, Ieso, Ifeso, ObserverGains, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
@@ -24,12 +23,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdrcConfig", "AdrcVariant", "SimulationDiverged", "Trajectory",
-    "run_closed_loop",
+    "loop_symbol", "run_closed_loop",
     "DEFAULT_PARAMS", "EXPERIMENT_IDS", "UnstableConfigError",
     "run_experiment", "step_metrics", "summarize",
     "GLOperator", "frac_pow", "gl_coefficients", "gl_differintegral",
-    "bode", "delta", "g_ifio", "g_io", "ieso_transfer",
-    "ifeso_transfer", "log_grid", "mse_ifio", "mse_io",
+    "bode", "delta", "g_ifio", "g_io", "log_grid", "mse_ifio", "mse_io",
     "Feso", "Ieso", "Ifeso", "ObserverGains", "bandwidth_gains",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
     "CharPoly", "StabilityReport", "build_char_poly", "loop_sector_test",

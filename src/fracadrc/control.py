@@ -114,6 +114,15 @@ class Trajectory:
         return cls(Ts=float(t[1] - t[0]), **cols)
 
 
+def _observer(cfg: AdrcConfig, plant: FracPlant):
+    """The fresh observer of cfg.variant; its order follows the plant."""
+    gains = bandwidth_gains(cfg.omega_o)
+    if cfg.variant is AdrcVariant.IADRC:
+        return Ieso(gains, cfg.b, cfg.Ts)
+    cls = Feso if cfg.variant is AdrcVariant.FADRC else Ifeso
+    return cls(gains, cfg.b, plant.mu, cfg.Ts)
+
+
 def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
                     d: DisturbanceSignal | None = None) -> Trajectory:
     """Simulate one closed loop and record every signal per sample.
@@ -139,13 +148,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
                         f"got {type(d).__name__}")
     darr = (d if d is not None else DisturbanceSignal()).render(t)
 
-    gains = bandwidth_gains(cfg.omega_o)
-    if cfg.variant is AdrcVariant.IADRC:
-        obs = Ieso(gains, cfg.b, cfg.Ts)
-    elif cfg.variant is AdrcVariant.FADRC:
-        obs = Feso(gains, cfg.b, plant.mu, cfg.Ts)
-    else:
-        obs = Ifeso(gains, cfg.b, plant.mu, cfg.Ts)
+    obs = _observer(cfg, plant)
     ya = np.empty(n)
     ua = np.empty(n)
     u0a = np.empty(n)
@@ -173,3 +176,22 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         u_prev = u
     return Trajectory(t=t, v_d=vd, y=ya, u=ua, u0=u0a, z1=z1a, z2=z2a,
                       q_hat=qha, d=darr, Ts=cfg.Ts)
+
+
+def loop_symbol(cfg: AdrcConfig, plant: FracPlant, zeta=None,
+                s=None) -> np.ndarray:
+    """One 5 x 5 complex matrix per point over (Y, Z1, Z2, Q_hat, U), mapping
+    them to (zeta*d, 0, 0, 0, K*v_d), for the loop run_closed_loop(cfg, plant)
+    runs: sampled at delays `zeta` (D = (1 - zeta)/Ts), or continuous at
+    Laplace points `s` (zeta = 1, D = s); D^mu = D**mu, principal branch."""
+    if (zeta is None) == (s is None):
+        raise ValueError("pass exactly one of zeta and s")
+    zeta = np.asarray(1.0 if zeta is None else zeta, dtype=complex)
+    D = (1.0 - zeta) / cfg.Ts if s is None else np.asarray(s, dtype=complex)
+    Dmu = D ** plant.mu
+    # the control row: b*U + K*Z1 + Z2 + Q_hat = K*v_d
+    rows = (plant.symbol_rows(zeta, D, Dmu)
+            + _observer(cfg, plant).symbol_rows(zeta, D, Dmu)
+            + [(0, cfg.K, 1, 1, cfg.b)])
+    M = [[np.broadcast_to(entry, D.shape) for entry in row] for row in rows]
+    return np.moveaxis(np.array(M, dtype=complex), (0, 1), (-2, -1))

@@ -1,10 +1,10 @@
 """Frequency-domain analysis of disturbance estimation quality.
 
-Covers the Laplace factors of the integer and improved fractional
-observers, the compensated-object transfer functions seen by the outer
-proportional loop, the integrator-mismatch delta(w) = 1 - jw*G(jw), its
-squared magnitude in closed form (real trigonometric arithmetic, matched
-gain b = b_o), and Bode sampling over log grids.
+Covers the paper's closed forms: the compensated-object transfer
+functions seen by the outer proportional loop, the integrator mismatch
+delta(w) = 1 - jw*G(jw), its squared magnitude (real trigonometric
+arithmetic, matched gain b = b_o), and Bode sampling over log grids.  The
+same loops, from the rows of each update, are `control.loop_symbol`.
 """
 
 from __future__ import annotations
@@ -30,42 +30,6 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
     decades = math.log10(omega_max / omega_min)
     n = int(round(decades * points_per_decade)) + 1
     return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
-
-
-def ieso_transfer(omega_o: float, b: float, s) -> dict[str, complex]:
-    """Laplace factors of the integer-order observer.
-
-    Returns {z1_y, z1_u, z2_y, z2_u} over the common denominator
-    s**2 + 2*omega_o*s + omega_o**2, whatever the plant order.
-    """
-    s = complex(s)
-    den = s * s + 2.0 * omega_o * s + omega_o * omega_o
-    if den == 0:
-        raise ZeroDivisionError(f"observer pole at s={s}")
-    w2 = omega_o * omega_o
-    return {"z1_y": (2.0 * omega_o * s + w2) / den,
-            "z1_u": b * s / den,
-            "z2_y": w2 * s / den,
-            "z2_u": -w2 * b / den}
-
-
-def ifeso_transfer(omega_o: float, b: float, mu: float, s) -> dict[str, complex]:
-    """Laplace factors of the improved fractional observer.
-
-    Common denominator s**(mu+1) + 2*omega_o*s + omega_o**2; the extra
-    entry q_z1 = s - s**mu maps z1 to the mismatch estimate q_hat.
-    """
-    s = complex(s)
-    smu = frac_pow(s, mu)
-    den = frac_pow(s, mu + 1.0) + 2.0 * omega_o * s + omega_o * omega_o
-    if den == 0:
-        raise ZeroDivisionError(f"observer pole at s={s}")
-    w2 = omega_o * omega_o
-    return {"z1_y": (2.0 * omega_o * s + w2) / den,
-            "z1_u": b * s / den,
-            "z2_y": w2 * smu / den,
-            "z2_u": -w2 * b / den,
-            "q_z1": s - smu}
 
 
 def g_io(a_o: float, b_o: float, b: float, mu: float, omega_o: float,

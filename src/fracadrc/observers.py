@@ -9,8 +9,10 @@ Three variants share one interface (step(u, y), then read z1/z2/q_hat):
            plant output: Euler on z1 with the previous q_hat in the drive,
            and q_hat set to that drive minus the GL derivative of z1.
 
-Each variant has one update, `step`; `loop_step` is the same function
-under the name the closed-loop engine calls.
+Each variant has one update, `step` (`loop_step` is the closed-loop
+engine's name for it), and beside it `symbol_rows`: the update's rows in
+`control.loop_symbol`, linear in the delay zeta, D and D^mu, with the
+innovation E = Y - zeta*Z1.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ class Ieso(_Eso):
 
     loop_step = step
 
+    def symbol_rows(self, zeta, D, Dmu):
+        """D*Z1 = zeta*(Z2 + b*U) + beta1*E; D*Z2 = beta2*E; Q_hat = 0."""
+        b1, b2 = self.gains.beta1, self.gains.beta2
+        return [(-b1, D + b1 * zeta, -zeta, 0, -self.b * zeta),
+                (-b2, b2 * zeta, D, 0, 0), (0, 0, 0, 1, 0)]
+
 
 class Feso(_Eso):
     """Fractional ESO: both observer states advance at order mu.
@@ -105,6 +113,10 @@ class Feso(_Eso):
         self.z2 = z2_new
 
     loop_step = step
+
+    def symbol_rows(self, zeta, D, Dmu):
+        """Ieso's rows with D^mu in place of D."""
+        return Ieso.symbol_rows(self, zeta, Dmu, Dmu)
 
 
 class Ifeso(_Eso):
@@ -140,3 +152,11 @@ class Ifeso(_Eso):
         self.z1 = z1_new
 
     loop_step = step
+
+    def symbol_rows(self, zeta, D, Dmu):
+        """D*Z1 = R; Q_hat = R - D^mu*Z1; D*Z2 = beta2*E, with
+        R = zeta*(Z2 + b*U + Q_hat) + beta1*E."""
+        b1, b2, b = self.gains.beta1, self.gains.beta2, self.b
+        return [(-b1, D + b1 * zeta, -zeta, -zeta, -b * zeta),
+                (-b1, Dmu + b1 * zeta, -zeta, 1 - zeta, -b * zeta),
+                (-b2, b2 * zeta, D, 0, 0)]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fracops import GLOperator, frac_pow, gl_differintegral
+from .fracops import GLOperator, gl_differintegral
 
 
 class FracPlant:
@@ -34,17 +34,9 @@ class FracPlant:
         self.Ts = float(Ts)
         self.gl = GLOperator(mu, Ts)
         self._scale = self.Ts ** -self.mu
-        denom = self._scale + self.a_o  # w_0 = 1
-        if denom == 0.0:
+        self._denom = self._scale + self.a_o  # w_0 = 1
+        if self._denom == 0.0:
             raise ValueError("singular update: Ts**-mu + a_o == 0")
-        self._denom = denom
-
-    def tf(self, s) -> complex:
-        """Transfer function b_o / (s**mu + a_o), principal branch."""
-        den = frac_pow(s, self.mu) + self.a_o
-        if den == 0:
-            raise ZeroDivisionError(f"transfer-function pole at s={s}")
-        return self.b_o / den
 
     def step(self, u: float, d: float = 0.0) -> float:
         """Advance one sample under held input u and disturbance d."""
@@ -52,6 +44,10 @@ class FracPlant:
         y_new = (self.b_o * u + d - self._scale * tail) / self._denom
         self.gl.push(y_new)
         return y_new
+
+    def symbol_rows(self, zeta, D, Dmu):
+        """The row of `step`: (D^mu + a_o)*Y - zeta*b_o*U = zeta*d."""
+        return [(Dmu + self.a_o, 0, 0, 0, -self.b_o * zeta)]
 
 
 @dataclass

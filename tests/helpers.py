@@ -7,7 +7,7 @@ import numpy as np
 # imported here, not inside a test, so that no timed region pays for it
 from scipy import signal
 
-from fracadrc import AdrcConfig, FracPlant
+from fracadrc import AdrcConfig, DisturbanceSignal, FracPlant, loop_symbol
 
 # Reference operating point used throughout the suite: the plant
 # 1/(s^0.8 + 10) under a K=150 outer loop with a 400 rad/s observer,
@@ -85,3 +85,44 @@ def oustaloup(mu: float, band_low: float = 1e-2, band_high: float = 1e4,
         zeros, poles = poles, zeros
         gain = band_high ** mu
     return Oustaloup(band_low, band_high, n_cells, zeros, poles, gain)
+
+
+def symbol_response(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
+                    d: DisturbanceSignal | None = None) -> dict:
+    """The columns y, u, u0, z1, z2, q_hat of run_closed_loop(cfg, plant,
+    v_d, d), from the loop's symbol alone, in numpy only.
+
+    Contour inversion: the symbol is solved for an impulse reference and
+    an impulse disturbance at 8n points on |zeta| = rho, rho**n = 1e-2, and
+    an FFT turns those into impulse responses, with aliasing of order
+    rho**(8n) = 1e-16.  The step reference is their cumulative sum (a
+    1/(1 - zeta) right-hand side loses an order of magnitude), and the
+    disturbance response is the convolution with d's samples.
+    """
+    n = cfg.samples()
+    N = 8 * n
+    rho = 1e-2 ** (1.0 / n)
+    zeta = rho * np.exp(2j * np.pi * np.arange(N) / N)
+    rhs = np.zeros((N, 5, 2), dtype=complex)
+    rhs[:, 4, 0] = cfg.K      # control row: K*v
+    rhs[:, 0, 1] = zeta       # plant row: zeta*d
+    solved = np.linalg.solve(loop_symbol(cfg, plant, zeta=zeta), rhs)
+    h = np.fft.fft(solved, axis=0)[:n].real / N
+    h /= (rho ** np.arange(n))[:, None, None]
+    darr = (d or DisturbanceSignal()).render(np.arange(n) * cfg.Ts)
+    x = v_d * np.cumsum(h[..., 0], axis=0) + np.stack(
+        [np.convolve(h[:, i, 1], darr)[:n] for i in range(5)], axis=1)
+    y, z1, z2, q_hat, u = x.T
+    return {"y": y, "u": u, "u0": cfg.K * (v_d - z1), "z1": z1, "z2": z2,
+            "q_hat": q_hat}
+
+
+def compensated_object(cfg: AdrcConfig, plant: FracPlant, s) -> np.ndarray:
+    """G = Y/U0 of the continuous loop at Laplace points `s`: the inner
+    loop the outer law u0 = K*(v - z1) sees, so the control row drops its
+    K*Z1 entry and reads b*U + Z2 + Q_hat = U0."""
+    M = loop_symbol(cfg, plant, s=s)
+    M[..., 4, 1] = 0.0
+    rhs = np.zeros(M.shape[:-1], dtype=complex)
+    rhs[..., 4] = 1.0
+    return np.linalg.solve(M, rhs[..., None])[..., 0, 0]

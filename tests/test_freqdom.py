@@ -11,16 +11,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fracadrc import (
+    AdrcConfig,
     bandwidth_gains,
     bode,
     delta,
-    frac_pow,
     g_ifio,
     g_io,
     log_grid,
     mse_ifio,
     mse_io,
 )
+from fracadrc.experiments import MSE_BASE, MSE_GRID
+
+from helpers import compensated_object, ref_plant
 
 # in the argument order of g_io and g_ifio
 PARAMS = dict(a_o=10.0, b_o=1.0, b=1.0, mu=0.8, omega_o=400.0)
@@ -194,3 +197,28 @@ def test_integrated_estimate_flat_for_embedding_view():
     )
     drift_db = 20.0 * np.log10(drift)
     assert np.max(np.abs(drift_db[grid > 1e3])) > 1.0
+
+
+# ---------------------------------------------------------------------------
+# The closed forms against the loop symbol
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mu", [0.4, 0.6, 0.8])
+def test_closed_forms_are_the_continuous_loop_symbol(mu):
+    # Two routes to the same loop: the paper's formulas, and the rows of
+    # each update at zeta = 1, D = s, D^mu = s**mu (fig4's grid and setting;
+    # measured within 1.8e-15 for G and 6.7e-13 for the squared mismatch).
+    a_o, omega_o = MSE_BASE["a_o"], MSE_BASE["omega_o"]
+    grid = log_grid(*MSE_GRID)
+    s = 1j * grid
+    plant = ref_plant(a_o=a_o, b_o=1.0, mu=mu)
+    for variant, g, mse in (("iadrc", g_io, mse_io),
+                            ("ifadrc", g_ifio, mse_ifio)):
+        cfg = AdrcConfig(variant=variant, omega_o=omega_o, b=1.0)
+        G = compensated_object(cfg, plant, s)
+        closed = np.array([g(a_o, 1.0, 1.0, mu, omega_o, p) for p in s])
+        np.testing.assert_allclose(G, closed, rtol=1e-11, atol=0)
+        np.testing.assert_allclose(np.abs(1.0 - s * G) ** 2,
+                                   mse(grid, a_o, mu, omega_o),
+                                   rtol=1e-11, atol=0)
