@@ -11,7 +11,7 @@ from .control import (AdrcConfig, AdrcVariant, SimulationDiverged, Trajectory,
                       loop_symbol, run_closed_loop)
 from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, UnstableConfigError,
                           run_experiment, step_metrics, summarize)
-from .fracops import GLOperator, frac_pow, gl_coefficients, gl_differintegral
+from .fracops import GLOperator, gl_coefficients, gl_differintegral
 from .freqdom import bode, delta, g_ifio, g_io, log_grid, mse_ifio, mse_io
 from .observers import Feso, Ieso, Ifeso, ObserverGains, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
@@ -26,7 +26,7 @@ __all__ = [
     "loop_symbol", "run_closed_loop",
     "DEFAULT_PARAMS", "EXPERIMENT_IDS", "UnstableConfigError",
     "run_experiment", "step_metrics", "summarize",
-    "GLOperator", "frac_pow", "gl_coefficients", "gl_differintegral",
+    "GLOperator", "gl_coefficients", "gl_differintegral",
     "bode", "delta", "g_ifio", "g_io", "log_grid", "mse_ifio", "mse_io",
     "Feso", "Ieso", "Ifeso", "ObserverGains", "bandwidth_gains",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",

@@ -104,8 +104,6 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         data = np.genfromtxt(path, delimiter=",", names=True)
-        if data.ndim == 0:
-            data = data.reshape(1)
         cols = {name: np.asarray(data[name], dtype=float)
                 for name in TRAJECTORY_COLUMNS}
         t = cols["t"]

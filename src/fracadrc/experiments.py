@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_json, write_rows
 from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
@@ -331,13 +331,10 @@ def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
             if entry["kind"] in METRIC_KINDS]
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
-    with open(outdir / "metrics.csv", "w", newline="") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = ["" if c not in row else repr(float(row[c]))
-                     if isinstance(row[c], (int, float, np.floating))
-                     else str(row[c]) for c in columns]
-            fh.write(",".join(cells) + "\n")
+    write_rows(outdir / "metrics.csv", columns,
+               (["" if c not in row else repr(float(row[c]))
+                 if isinstance(row[c], (int, float, np.floating))
+                 else str(row[c]) for c in columns] for row in rows))
     return rows
 
 

@@ -165,16 +165,3 @@ def gl_differintegral(x, mu: float, step: float) -> np.ndarray:
     spec *= np.fft.rfft(x, 2 * n)
     return (step ** -mu) * np.fft.irfft(spec, 2 * n)[:n]
 
-
-def frac_pow(s, mu: float) -> complex:
-    """Principal-branch complex power s**mu.
-
-    On the positive imaginary axis: (j*w)**mu = w**mu * exp(j*mu*pi/2).
-    s = 0 maps to 0 for mu > 0 and is a domain error otherwise.
-    """
-    s = complex(s)
-    if s == 0:
-        if mu > 0:
-            return 0j
-        raise ValueError(f"s**mu undefined at s=0 for mu <= 0 (mu={mu})")
-    return s ** mu

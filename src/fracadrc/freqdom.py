@@ -1,9 +1,9 @@
 """Frequency-domain analysis of disturbance estimation quality.
 
-Covers the paper's closed forms: the compensated-object transfer
-functions seen by the outer proportional loop, the integrator mismatch
+Covers the paper's closed forms: the compensated-object transfer functions
+of the outer proportional loop (principal s**mu), the integrator mismatch
 delta(w) = 1 - jw*G(jw), its squared magnitude (real trigonometric
-arithmetic, matched gain b = b_o), and Bode sampling over log grids.  The
+arithmetic on shared terms, b = b_o), and Bode sampling over log grids.  The
 same loops, from the rows of each update, are `control.loop_symbol`.
 """
 
@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .artifacts import write_csv
-from .fracops import frac_pow
 
 
 def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
@@ -38,7 +37,7 @@ def g_io(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
     s = complex(s)
     if s == 0:
         raise ZeroDivisionError("g_io has a pole at s=0")
-    smu = frac_pow(s, mu)
+    smu = s ** mu
     den = s * (b_o * omega_o * omega_o
                + a_o * b * (s + 2.0 * omega_o)
                + b * smu * (s + 2.0 * omega_o))
@@ -57,9 +56,8 @@ def g_ifio(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
     s = complex(s)
     if s == 0:
         raise ZeroDivisionError("g_ifio has a pole at s=0")
-    smu = frac_pow(s, mu)
-    num = b_o * (frac_pow(s, 1.0 + mu) + 2.0 * omega_o * s
-                 + omega_o * omega_o)
+    smu = s ** mu
+    num = b_o * (s ** (1.0 + mu) + 2.0 * omega_o * s + omega_o * omega_o)
     den = s * (b_o * omega_o * (2.0 * s - 2.0 * smu + omega_o)
                + a_o * b * (s + 2.0 * omega_o)
                + b * smu * (s + 2.0 * omega_o))
@@ -75,6 +73,15 @@ def delta(G, omega: float) -> complex:
     return 1.0 - 1j * omega * G(1j * omega)
 
 
+def _mse_terms(omega, mu: float, omega_o: float):
+    """omega as an array, checked >= 0, and the terms both forms share."""
+    w = np.asarray(omega, dtype=float)
+    if np.any(w < 0.0):
+        raise ValueError("omega must be >= 0")
+    return (w, 2.0 * omega_o, omega_o * omega_o, math.cos(0.5 * math.pi * mu),
+            math.sin(0.5 * math.pi * mu), w ** mu)
+
+
 def mse_io(omega, a_o: float, mu: float, omega_o: float):
     """|1 - jw*G_io(jw)|**2 in closed form, matched gain b = b_o.
 
@@ -83,14 +90,7 @@ def mse_io(omega, a_o: float, mu: float, omega_o: float):
     Accepts a scalar or an array of frequencies; omega = 0 is the finite
     limit (2*a_o*omega_o / (2*a_o*omega_o + omega_o**2))**2.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("omega must be >= 0")
-    b1 = 2.0 * omega_o
-    b2 = omega_o * omega_o
-    cmu = math.cos(0.5 * math.pi * mu)
-    smu = math.sin(0.5 * math.pi * mu)
-    wmu = w ** mu
+    w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
     n1 = (b1 * b1 + w * w) * (a_o * a_o + w * w + w ** (2.0 * mu)
                               + 2.0 * wmu * (a_o * cmu - w * smu))
     re = a_o * b1 + b2 + b1 * wmu * cmu - w * wmu * smu
@@ -109,14 +109,7 @@ def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
     observer leaves no integrator mismatch at any frequency.  Equals mse_io
     at omega = 0.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("omega must be >= 0")
-    b1 = 2.0 * omega_o
-    b2 = omega_o * omega_o
-    cmu = math.cos(0.5 * math.pi * mu)
-    smu = math.sin(0.5 * math.pi * mu)
-    wmu = w ** mu
+    w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
     n2 = a_o * a_o * (b1 * b1 + w * w)
     re = a_o * b1 + b2 - w * wmu * smu
     im = a_o + b1 + wmu * cmu

@@ -198,16 +198,8 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
     return z if _disks_disjoint(c, z) else None
 
 
-def poly_roots(poly: CharPoly) -> np.ndarray:
-    """All complex roots, from the Aberth iteration at degree >=
-    ABERTH_MIN_DEGREE when it certifies them, else from the eigenvalues
-    of the balanced companion matrix; then one Newton polish per root,
-    verified against a residual bound.
-
-    Raises ArithmeticError with the degree and the largest residual if
-    any residual exceeds the bound or is not finite.  Output is sorted by
-    (real, imag) so repeated calls are reproducible.
-    """
+def _checked_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
+    """`poly_roots`'s roots and their normalized residuals, same order."""
     c = poly.coeffs
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -233,7 +225,20 @@ def poly_roots(poly: CharPoly) -> np.ndarray:
             f"polynomial failed its residual check: max normalized residual "
             f"{np.max(residuals):.3e} (bound {RESIDUAL_TOL:.1e})")
     order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+    return roots[order], residuals[order]
+
+
+def poly_roots(poly: CharPoly) -> np.ndarray:
+    """All complex roots, from the Aberth iteration at degree >=
+    ABERTH_MIN_DEGREE when it certifies them, else from the eigenvalues
+    of the balanced companion matrix; then one Newton polish per root,
+    verified against a residual bound.
+
+    Raises ArithmeticError with the degree and the largest residual if
+    any residual exceeds the bound or is not finite.  Output is sorted by
+    (real, imag) so repeated calls are reproducible.
+    """
+    return _checked_roots(poly)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,8 +273,7 @@ def sector_test(poly: CharPoly) -> StabilityReport:
     margin = min |arg(w_i)| - lam*pi/2.  A margin inside (0, SECTOR_GUARD]
     is flagged marginal and judged unstable (conservative).
     """
-    roots = poly_roots(poly)
-    residuals = _normalized_residuals(poly.coeffs, roots)
+    roots, residuals = _checked_roots(poly)
     args = np.angle(roots)
     margin = float(np.min(np.abs(args)) - poly.lam * np.pi / 2.0)
     return StabilityReport(roots=roots, args=args, margin=margin,

@@ -172,6 +172,17 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert back.Ts == pytest.approx(traj.Ts, rel=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 0])
+def test_short_trajectory_csv_is_rejected(tmp_path, rows):
+    # one row reads back as a 0-d table, none as an empty one
+    header = ",".join(TRAJECTORY_COLUMNS) + "\n"
+    row = ",".join(["0.0"] * len(TRAJECTORY_COLUMNS)) + "\n"
+    path = tmp_path / "traj.csv"
+    path.write_text(header + row * rows)
+    with pytest.raises(ValueError, match="needs at least 2 rows"):
+        Trajectory.from_csv(path)
+
+
 def test_trajectory_csv_is_row_by_row_repr_across_write_blocks(tmp_path):
     n = 2 * CSV_BLOCK_ROWS + 3
     rng = np.random.default_rng(7)

@@ -1,6 +1,6 @@
 """Fractional-kernel building blocks: weight tables, the streaming
-operator, batch evaluation, principal complex powers, and the band-limited
-rational approximation that serves as an independent oracle."""
+operator, batch evaluation, and the band-limited rational approximation
+that serves as an independent oracle."""
 from __future__ import annotations
 
 import math
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fracadrc import (
     GLOperator,
-    frac_pow,
     gl_coefficients,
     gl_differintegral,
 )
@@ -295,52 +294,6 @@ def test_inverse_composition_recovers_signal():
     d = gl_differintegral(x, 0.6, 0.01)
     back = gl_differintegral(d, -0.6, 0.01)
     np.testing.assert_allclose(back, x, rtol=1e-8, atol=1e-8)
-
-
-# ---------------------------------------------------------------------------
-# Principal complex powers
-# ---------------------------------------------------------------------------
-
-
-def test_frac_pow_examples():
-    assert frac_pow(1j, 1.0) == pytest.approx(1j, abs=1e-12)
-    expected = complex(math.cos(0.3 * math.pi), math.sin(0.3 * math.pi))
-    assert frac_pow(1j, 0.6) == pytest.approx(expected, rel=1e-12)
-    mag = 100.0**0.8
-    expected = mag * complex(math.cos(0.4 * math.pi), math.sin(0.4 * math.pi))
-    assert frac_pow(100j, 0.8) == pytest.approx(expected, rel=1e-12)
-
-
-def test_frac_pow_at_origin():
-    assert frac_pow(0.0, 0.5) == 0j
-    with pytest.raises(ValueError):
-        frac_pow(0.0, -0.5)
-    with pytest.raises(ValueError):
-        frac_pow(0.0, 0.0)
-
-
-@given(
-    omega=st.floats(min_value=1e-3, max_value=1e6),
-    mu=st.floats(min_value=0.05, max_value=0.99),
-)
-def test_frac_pow_polar_form_on_imaginary_axis(omega, mu):
-    val = frac_pow(1j * omega, mu)
-    assert abs(val) == pytest.approx(omega**mu, rel=1e-12)
-    assert math.atan2(val.imag, val.real) == pytest.approx(
-        mu * math.pi / 2.0, rel=1e-9
-    )
-
-
-@given(
-    omega=st.floats(min_value=1e-2, max_value=1e4),
-    mu1=st.floats(min_value=0.1, max_value=0.9),
-    mu2=st.floats(min_value=0.1, max_value=0.9),
-)
-def test_frac_pow_exponent_additivity(omega, mu1, mu2):
-    s = 1j * omega
-    lhs = frac_pow(s, mu1) * frac_pow(s, mu2)
-    rhs = frac_pow(s, mu1 + mu2)
-    assert lhs == pytest.approx(rhs, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

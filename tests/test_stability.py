@@ -235,6 +235,16 @@ def test_broadcast_residuals_match_the_per_root_loop(mu):
         _loop_residuals(poly.coeffs, roots))
 
 
+@pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273)])
+def test_report_carries_its_own_roots_residuals(mu, degree):
+    poly, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    assert poly.degree == degree
+    np.testing.assert_array_equal(report.roots, poly_roots(poly))
+    assert np.array_equal(
+        report.residuals,
+        stability._normalized_residuals(poly.coeffs, report.roots))
+
+
 @pytest.mark.parametrize("mu", [0.37, 0.51, 0.73, 0.87])
 @pytest.mark.parametrize("K, b_o, omega_o", [(150.0, 1.0, 400.0),
                                              (1e4, 0.5, 100.0),
