@@ -62,6 +62,8 @@ class AdrcConfig:
                                  f"got {value}")
         if not (math.isfinite(self.b) and self.b != 0.0):
             raise ValueError(f"b must be nonzero and finite, got {self.b}")
+        for name in ("K", "omega_o", "b", "Ts", "horizon"):
+            setattr(self, name, float(getattr(self, name)))
 
     def samples(self) -> int:
         """Number of samples a run simulates: horizon / Ts, rounded.  A
@@ -145,6 +147,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         raise TypeError(f"d must be a DisturbanceSignal or None, "
                         f"got {type(d).__name__}")
     darr = (d if d is not None else DisturbanceSignal()).render(t)
+    dview = memoryview(darr)
 
     obs = _observer(cfg, plant)
     ya = np.empty(n)
@@ -168,7 +171,8 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         z1a[k] = obs.z1
         z2a[k] = obs.z2
         qha[k] = obs.q_hat
-        y = plant.step(u, darr[k])
+        # a Python float: darr[k] is a numpy float64 and slows every state
+        y = plant.step(u, dview[k])
         if not math.isfinite(y) or abs(y) > DIVERGENCE_LIMIT:
             raise SimulationDiverged(k, float(y))
         u_prev = u

@@ -82,6 +82,15 @@ def _mse_terms(omega, mu: float, omega_o: float):
             math.sin(0.5 * math.pi * mu), w ** mu)
 
 
+def _mse_ratio(name: str, omega, num, den):
+    """num / den, a float when omega is a scalar; a zero entry of den
+    raises ZeroDivisionError naming the form."""
+    if np.any(den == 0.0):
+        raise ZeroDivisionError(f"{name} denominator vanished")
+    out = num / den
+    return float(out) if np.ndim(omega) == 0 else out
+
+
 def mse_io(omega, a_o: float, mu: float, omega_o: float):
     """|1 - jw*G_io(jw)|**2 in closed form, matched gain b = b_o.
 
@@ -95,11 +104,7 @@ def mse_io(omega, a_o: float, mu: float, omega_o: float):
                               + 2.0 * wmu * (a_o * cmu - w * smu))
     re = a_o * b1 + b2 + b1 * wmu * cmu - w * wmu * smu
     im = a_o * w + w * wmu * cmu + b1 * wmu * smu
-    d1 = re * re + im * im
-    if np.any(d1 == 0.0):
-        raise ZeroDivisionError("mse_io denominator vanished")
-    out = n1 / d1
-    return float(out) if np.ndim(omega) == 0 else out
+    return _mse_ratio("mse_io", omega, n1, re * re + im * im)
 
 
 def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
@@ -113,11 +118,7 @@ def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
     n2 = a_o * a_o * (b1 * b1 + w * w)
     re = a_o * b1 + b2 - w * wmu * smu
     im = a_o + b1 + wmu * cmu
-    d2 = re * re + w * w * (im * im)
-    if np.any(d2 == 0.0):
-        raise ZeroDivisionError("mse_ifio denominator vanished")
-    out = n2 / d2
-    return float(out) if np.ndim(omega) == 0 else out
+    return _mse_ratio("mse_ifio", omega, n2, re * re + w * w * (im * im))
 
 
 def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -35,6 +35,8 @@ class ObserverGains:
                    for g in (self.beta1, self.beta2)):
             raise ValueError(f"observer gains must be positive and finite, "
                              f"got ({self.beta1}, {self.beta2})")
+        for name in ("beta1", "beta2"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def bandwidth_gains(omega_o: float) -> ObserverGains:

@@ -10,6 +10,7 @@ from fracadrc import (
     AdrcVariant,
     DisturbanceSignal,
     Feso,
+    FracPlant,
     GLOperator,
     Ieso,
     Ifeso,
@@ -22,6 +23,7 @@ from fracadrc import (
     reconstruct_disturbances,
     run_closed_loop,
 )
+from fracadrc import control
 from fracadrc.artifacts import CSV_BLOCK_ROWS
 from fracadrc.control import TRAJECTORY_COLUMNS
 from fracadrc.experiments import trajectory_files
@@ -139,6 +141,41 @@ def test_each_variant_runs_its_own_observer(monkeypatch):
         seen.clear()
         run_closed_loop(ref_config(variant=variant, horizon=0.001), ref_plant())
         assert seen == [cls] * 8  # 1 ms at 8 kHz
+
+
+def test_loop_arithmetic_stays_in_python_floats(monkeypatch):
+    # numpy scalar arithmetic costs several times a float's, and one numpy
+    # operand turns every later state into a numpy scalar
+    disturbances = []
+    plant_step = FracPlant.step
+
+    def spy_step(self, u, d=0.0):
+        disturbances.append(type(d))
+        return plant_step(self, u, d)
+
+    observers = []
+
+    def spy_observer(cfg, plant, make=control._observer):
+        observers.append(make(cfg, plant))
+        return observers[-1]
+
+    monkeypatch.setattr(FracPlant, "step", spy_step)
+    monkeypatch.setattr(control, "_observer", spy_observer)
+    gains = {name: np.float64(REF[name]) for name in ("K", "omega_o", "b")}
+    for variant in AdrcVariant:
+        disturbances.clear()
+        run_closed_loop(ref_config(variant=variant, horizon=0.01, **gains),
+                        ref_plant(), d=DisturbanceSignal.step(0.5, 0.005))
+        assert disturbances == [float] * 80
+        obs = observers[-1]
+        assert [type(obs.z1), type(obs.z2), type(obs.q_hat)] == [float] * 3
+    cfg = AdrcConfig(K=np.float64(150.0), omega_o=np.float64(400.0),
+                     b=np.float64(1.0), Ts=np.float64(REF["Ts"]),
+                     horizon=np.float64(1.0))
+    for name in ("K", "omega_o", "b", "Ts", "horizon"):
+        assert type(getattr(cfg, name)) is float
+    obs_gains = ObserverGains(np.float64(1.0), np.float64(2.0))
+    assert [type(obs_gains.beta1), type(obs_gains.beta2)] == [float] * 2
 
 
 def test_disturbance_must_be_a_signal():

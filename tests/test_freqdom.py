@@ -124,6 +124,17 @@ def test_closed_forms_vectorize():
     assert out.shape == (3,)
     for i, omega in enumerate(w):
         assert out[i] == pytest.approx(float(mse_io(omega, 10.0, 0.8, 400.0)))
+    for form in (mse_io, mse_ifio):
+        assert type(form(10.0, 10.0, 0.8, 400.0)) is float
+
+
+def test_vanishing_denominator_names_its_form():
+    # a_o = -omega_o/2 zeroes both denominators at omega = 0
+    for form, name in ((mse_io, "mse_io"), (mse_ifio, "mse_ifio")):
+        for omega in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(ZeroDivisionError,
+                               match=f"^{name} denominator vanished$"):
+                form(omega, -1.0, 0.5, 2.0)
 
 
 @given(t=tuples)
