@@ -13,7 +13,7 @@ from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, UnstableConfigError,
                           run_experiment, step_metrics, summarize)
 from .fracops import GLOperator, gl_coefficients, gl_differintegral
 from .freqdom import bode, delta, g_ifio, g_io, log_grid, mse_ifio, mse_io
-from .observers import Feso, Ieso, Ifeso, ObserverGains, bandwidth_gains
+from .observers import Feso, Ieso, Ifeso, bandwidth_gains
 from .plant import DisturbanceSignal, FracPlant, reconstruct_disturbances
 from .stability import (CharPoly, StabilityReport, build_char_poly,
                         loop_sector_test, poly_roots, rationalize_order,
@@ -28,7 +28,7 @@ __all__ = [
     "run_experiment", "step_metrics", "summarize",
     "GLOperator", "gl_coefficients", "gl_differintegral",
     "bode", "delta", "g_ifio", "g_io", "log_grid", "mse_ifio", "mse_io",
-    "Feso", "Ieso", "Ifeso", "ObserverGains", "bandwidth_gains",
+    "Feso", "Ieso", "Ifeso", "bandwidth_gains",
     "DisturbanceSignal", "FracPlant", "reconstruct_disturbances",
     "CharPoly", "StabilityReport", "build_char_poly", "loop_sector_test",
     "poly_roots", "rationalize_order", "sector_test",

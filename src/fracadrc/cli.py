@@ -235,7 +235,6 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     grid = _grid_from(args, *BODE_GRID[:2])
     outdir = Path(args.output_dir) / "bode"
-    outdir.mkdir(parents=True, exist_ok=True)
     tags = ("io", "ifio") if args.which == "both" else (args.which,)
     files = bode_files(outdir, params, grid, tags)
     write_manifest(outdir, {**params, "which": args.which,
@@ -252,13 +251,13 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
         raise ValueError("invalid value for 'b': closed-form estimation-error "
                          "curves require matched gain b = b_o")
     grid = _grid_from(args, *MSE_GRID[:2])
+    curves = mse_curves(grid, params)
     outdir = Path(args.output_dir) / "mse"
     outdir.mkdir(parents=True, exist_ok=True)
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},
-                   [mse_file(outdir, "mse.csv", grid,
-                             mse_curves(grid, params), params)],
+                   [mse_file(outdir, "mse.csv", grid, curves, params)],
                    command="mse")
     print(f"wrote {outdir / 'mse.csv'}")
     return 0

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_csv
-from .observers import Feso, Ieso, Ifeso, bandwidth_gains
+from .observers import Feso, Ieso, Ifeso
 from .plant import DisturbanceSignal, FracPlant
 
 DIVERGENCE_LIMIT = 1e9
@@ -116,11 +116,10 @@ class Trajectory:
 
 def _observer(cfg: AdrcConfig, plant: FracPlant):
     """The fresh observer of cfg.variant; its order follows the plant."""
-    gains = bandwidth_gains(cfg.omega_o)
     if cfg.variant is AdrcVariant.IADRC:
-        return Ieso(gains, cfg.b, cfg.Ts)
+        return Ieso(cfg.omega_o, cfg.b, cfg.Ts)
     cls = Feso if cfg.variant is AdrcVariant.FADRC else Ifeso
-    return cls(gains, cfg.b, plant.mu, cfg.Ts)
+    return cls(cfg.omega_o, cfg.b, plant.mu, cfg.Ts)
 
 
 def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,

@@ -157,13 +157,15 @@ def mse_file(outdir: Path, name: str, grid: np.ndarray,
 
 def bode_files(outdir: Path, params: dict, grid: np.ndarray,
                tags=tuple(BODE_TRANSFERS)) -> list[dict]:
-    """Write bode_g_<tag>.csv for each compensated object in `tags`;
-    returns their manifest entries."""
+    """Write bode_g_<tag>.csv for each compensated object in `tags`,
+    every curve computed before `outdir` is made; returns their manifest
+    entries."""
+    curves = [bode(partial(BODE_TRANSFERS[tag], params["a_o"], params["b_o"],
+                           params["b"], params["mu"], params["omega_o"]),
+                   grid) for tag in tags]
+    outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for tag in tags:
-        G = partial(BODE_TRANSFERS[tag], params["a_o"], params["b_o"],
-                    params["b"], params["mu"], params["omega_o"])
-        mag, phase = bode(G, grid)
+    for tag, (mag, phase) in zip(tags, curves):
         name = f"bode_g_{tag}.csv"
         write_bode_csv(outdir / name, grid, mag, phase)
         files.append({"path": name, "kind": "bode",

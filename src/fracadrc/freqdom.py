@@ -83,11 +83,14 @@ def _mse_terms(omega, mu: float, omega_o: float):
 
 
 def _mse_ratio(name: str, omega, num, den):
-    """num / den, a float when omega is a scalar; a zero entry of den
-    raises ZeroDivisionError naming the form."""
+    """num / den, a float when omega is a scalar.  Raises, naming the
+    form, ZeroDivisionError when an entry of den is 0 and OverflowError
+    when one of the ratio is not finite (a term overflowed)."""
     if np.any(den == 0.0):
         raise ZeroDivisionError(f"{name} denominator vanished")
     out = num / den
+    if not np.all(np.isfinite(out)):
+        raise OverflowError(f"{name} is not finite at these parameters")
     return float(out) if np.ndim(omega) == 0 else out
 
 
@@ -99,12 +102,13 @@ def mse_io(omega, a_o: float, mu: float, omega_o: float):
     Accepts a scalar or an array of frequencies; omega = 0 is the finite
     limit (2*a_o*omega_o / (2*a_o*omega_o + omega_o**2))**2.
     """
-    w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
-    n1 = (b1 * b1 + w * w) * (a_o * a_o + w * w + w ** (2.0 * mu)
-                              + 2.0 * wmu * (a_o * cmu - w * smu))
-    re = a_o * b1 + b2 + b1 * wmu * cmu - w * wmu * smu
-    im = a_o * w + w * wmu * cmu + b1 * wmu * smu
-    return _mse_ratio("mse_io", omega, n1, re * re + im * im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
+        n1 = (b1 * b1 + w * w) * (a_o * a_o + w * w + w ** (2.0 * mu)
+                                  + 2.0 * wmu * (a_o * cmu - w * smu))
+        re = a_o * b1 + b2 + b1 * wmu * cmu - w * wmu * smu
+        im = a_o * w + w * wmu * cmu + b1 * wmu * smu
+        return _mse_ratio("mse_io", omega, n1, re * re + im * im)
 
 
 def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
@@ -114,11 +118,13 @@ def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
     observer leaves no integrator mismatch at any frequency.  Equals mse_io
     at omega = 0.
     """
-    w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
-    n2 = a_o * a_o * (b1 * b1 + w * w)
-    re = a_o * b1 + b2 - w * wmu * smu
-    im = a_o + b1 + wmu * cmu
-    return _mse_ratio("mse_ifio", omega, n2, re * re + w * w * (im * im))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, b1, b2, cmu, smu, wmu = _mse_terms(omega, mu, omega_o)
+        n2 = a_o * a_o * (b1 * b1 + w * w)
+        re = a_o * b1 + b2 - w * wmu * smu
+        im = a_o + b1 + wmu * cmu
+        return _mse_ratio("mse_ifio", omega, n2,
+                          re * re + w * w * (im * im))
 
 
 def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +132,8 @@ def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
 
     Grid points where G is singular stay in the curves as NaN markers;
     the phase is unwrapped across the remaining points by cumulative
-    nearest-branch selection.
+    nearest-branch selection.  An overflow inside G is raised again
+    with the frequency it happened at.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -140,6 +147,9 @@ def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
             h[i] = G(1j * wi)
         except (ZeroDivisionError, ValueError):
             h[i] = complex(np.nan, np.nan)
+        except OverflowError as exc:
+            raise OverflowError(f"transfer function overflowed at omega = "
+                                f"{wi:g} rad/s ({exc})") from None
     finite = np.isfinite(h.real) & np.isfinite(h.imag) & (np.abs(h) > 0.0)
     mag = np.full(w.size, np.nan)
     mag[finite] = 20.0 * np.log10(np.abs(h[finite]))

@@ -18,33 +18,19 @@ innovation E = Y - zeta*Z1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .fracops import GLOperator
 
 
-@dataclass(frozen=True)
-class ObserverGains:
-    """Observer gain pair; both entries must be positive and finite."""
-
-    beta1: float
-    beta2: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(g) and g > 0.0
-                   for g in (self.beta1, self.beta2)):
-            raise ValueError(f"observer gains must be positive and finite, "
-                             f"got ({self.beta1}, {self.beta2})")
-        for name in ("beta1", "beta2"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-def bandwidth_gains(omega_o: float) -> ObserverGains:
-    """All-observer-poles-at -omega_o parameterization:
-    beta1 = 2*omega_o, beta2 = omega_o**2."""
-    if not (math.isfinite(omega_o) and omega_o > 0.0):
-        raise ValueError(f"omega_o must be positive and finite, got {omega_o}")
-    return ObserverGains(2.0 * omega_o, omega_o * omega_o)
+def bandwidth_gains(omega_o: float) -> tuple[float, float]:
+    """All-observer-poles-at -omega_o parameterization: the float pair
+    (beta1, beta2) = (2*omega_o, omega_o**2).  omega_o must be positive
+    with a finite, nonzero square."""
+    beta2 = omega_o * omega_o
+    if not (omega_o > 0.0 and 0.0 < beta2 < math.inf):
+        raise ValueError(f"omega_o must be positive with a finite, nonzero "
+                         f"square, got {omega_o}")
+    return float(2.0 * omega_o), float(beta2)
 
 
 def _check_order(mu: float) -> float:
@@ -58,10 +44,10 @@ def _check_order(mu: float) -> float:
 class _Eso:
     """State shared by every variant; starts at rest."""
 
-    def __init__(self, gains: ObserverGains, b: float, Ts: float):
+    def __init__(self, omega_o: float, b: float, Ts: float):
         if not (math.isfinite(Ts) and Ts > 0.0):
             raise ValueError(f"Ts must be positive and finite, got {Ts}")
-        self.gains = gains
+        self.beta1, self.beta2 = bandwidth_gains(omega_o)
         self.b = float(b)
         self.Ts = float(Ts)
         self.z1 = 0.0
@@ -74,8 +60,8 @@ class Ieso(_Eso):
 
     def step(self, u: float, y: float) -> None:
         e = y - self.z1
-        dz1 = self.z2 + self.b * u + self.gains.beta1 * e
-        dz2 = self.gains.beta2 * e
+        dz1 = self.z2 + self.b * u + self.beta1 * e
+        dz2 = self.beta2 * e
         self.z1 += self.Ts * dz1
         self.z2 += self.Ts * dz2
 
@@ -83,7 +69,7 @@ class Ieso(_Eso):
 
     def symbol_rows(self, zeta, D, Dmu):
         """D*Z1 = zeta*(Z2 + b*U) + beta1*E; D*Z2 = beta2*E; Q_hat = 0."""
-        b1, b2 = self.gains.beta1, self.gains.beta2
+        b1, b2 = self.beta1, self.beta2
         return [(-b1, D + b1 * zeta, -zeta, 0, -self.b * zeta),
                 (-b2, b2 * zeta, D, 0, 0), (0, 0, 0, 1, 0)]
 
@@ -96,8 +82,8 @@ class Feso(_Eso):
     at mu = 1).
     """
 
-    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
-        super().__init__(gains, b, Ts)
+    def __init__(self, omega_o: float, b: float, mu: float, Ts: float):
+        super().__init__(omega_o, b, Ts)
         self.mu = _check_order(mu)
         self._gl1 = GLOperator(self.mu, Ts)
         self._gl2 = GLOperator(self.mu, Ts)
@@ -105,8 +91,8 @@ class Feso(_Eso):
 
     def step(self, u: float, y: float) -> None:
         e = y - self.z1
-        r1 = self.z2 + self.b * u + self.gains.beta1 * e
-        r2 = self.gains.beta2 * e
+        r1 = self.z2 + self.b * u + self.beta1 * e
+        r2 = self.beta2 * e
         z1_new = self._hmu * r1 - self._gl1.tail_sum()
         z2_new = self._hmu * r2 - self._gl2.tail_sum()
         self._gl1.push(z1_new)
@@ -138,19 +124,19 @@ class Ifeso(_Eso):
     Ieso.
     """
 
-    def __init__(self, gains: ObserverGains, b: float, mu: float, Ts: float):
-        super().__init__(gains, b, Ts)
+    def __init__(self, omega_o: float, b: float, mu: float, Ts: float):
+        super().__init__(omega_o, b, Ts)
         self.mu = _check_order(mu)
         self._gl = GLOperator(self.mu, Ts)
 
     def step(self, u: float, y: float) -> None:
         e = y - self.z1
-        rhs = self.z2 + self.b * u + self.q_hat + self.gains.beta1 * e
+        rhs = self.z2 + self.b * u + self.q_hat + self.beta1 * e
         z1_new = self.z1 + self.Ts * rhs
         dmu = self._gl.apply(z1_new)
         # rhs == (z1_new - z1)/Ts by construction of the Euler update
         self.q_hat = rhs - dmu
-        self.z2 = self.z2 + self.Ts * self.gains.beta2 * e
+        self.z2 = self.z2 + self.Ts * self.beta2 * e
         self.z1 = z1_new
 
     loop_step = step
@@ -158,7 +144,7 @@ class Ifeso(_Eso):
     def symbol_rows(self, zeta, D, Dmu):
         """D*Z1 = R; Q_hat = R - D^mu*Z1; D*Z2 = beta2*E, with
         R = zeta*(Z2 + b*U + Q_hat) + beta1*E."""
-        b1, b2, b = self.gains.beta1, self.gains.beta2, self.b
+        b1, b2, b = self.beta1, self.beta2, self.b
         return [(-b1, D + b1 * zeta, -zeta, -zeta, -b * zeta),
                 (-b1, Dmu + b1 * zeta, -zeta, 1 - zeta, -b * zeta),
                 (-b2, b2 * zeta, D, 0, 0)]

@@ -290,7 +290,6 @@ def loop_sector_test(cfg: AdrcConfig,
     plant's a_o, b_o and rationalized order.  Returns the characteristic
     polynomial with its report."""
     p, q_den = rationalize_order(plant.mu)
-    gains = bandwidth_gains(cfg.omega_o)
-    poly = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, gains.beta1,
-                           gains.beta2, p, q_den)
+    poly = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K,
+                           *bandwidth_gains(cfg.omega_o), p, q_den)
     return poly, sector_test(poly)

@@ -123,10 +123,10 @@ def test_criterion_2_error_dominance():
 def test_criterion_3_sector_stability():
     t0 = time.perf_counter()
     p, q_den = rationalize_order(REF["mu"])
-    g = bandwidth_gains(REF["omega_o"])
+    beta1, beta2 = bandwidth_gains(REF["omega_o"])
     cp = build_char_poly(
         b=REF["b"], b_o=REF["b_o"], a_o=REF["a_o"], K=REF["K"],
-        beta1=g.beta1, beta2=g.beta2, p=p, q_den=q_den,
+        beta1=beta1, beta2=beta2, p=p, q_den=q_den,
     )
     expected = {14: 1.0, 10: 810.0, 9: 150.0, 5: 289500.0, 0: 2.4e7}
     coeffs_ok = cp.coeffs.size == 15 and all(
@@ -255,8 +255,8 @@ def test_criterion_7_kernel_oracles():
     )
     # (c) improved observer collapses onto the integer observer at mu = 1
     rng = np.random.default_rng(7)
-    ife = Ifeso(bandwidth_gains(400.0), b=1.0, mu=1.0, Ts=Ts)
-    ie = Ieso(bandwidth_gains(400.0), b=1.0, Ts=Ts)
+    ife = Ifeso(400.0, b=1.0, mu=1.0, Ts=Ts)
+    ie = Ieso(400.0, b=1.0, Ts=Ts)
     diffs = np.empty(4000)
     for k, (u, y) in enumerate(rng.normal(size=(4000, 2))):
         ife.step(u, y)
@@ -298,10 +298,10 @@ def _sample_configs(rng, count):
         mag = rng.uniform(0.5, 2.0)
         b_o = -mag if rng.uniform() < 0.35 else mag
         p, q_den = rationalize_order(mu)
-        g = bandwidth_gains(omega_o)
+        beta1, beta2 = bandwidth_gains(omega_o)
         cp = build_char_poly(
             b=1.0, b_o=b_o, a_o=a_o, K=K,
-            beta1=g.beta1, beta2=g.beta2, p=p, q_den=q_den,
+            beta1=beta1, beta2=beta2, p=p, q_den=q_den,
         )
         rep = sector_test(cp)
         if abs(rep.margin) <= 0.03:

@@ -188,6 +188,24 @@ def test_failed_root_check_is_one_error_line(tmp_path):
     assert "max normalized residual 9.950e-01" in proc.stderr
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (("stability", "--omega_o", "1e200"), "omega_o"),
+    (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
+    (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
+], ids=["stability", "mse", "bode"])
+def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
+    # in a subprocess, so that a numpy warning would reach stderr too; each
+    # value is finite, but a square or a power of it overflows
+    proc = subprocess.run([sys.executable, "-m", "fracadrc.cli", *argv,
+                           "--output-dir", "out"], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("fracadrc: error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert cause in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_stability_report_file(tmp_path):
     report = tmp_path / "report.json"
     assert run_cli("stability", "--report", str(report)) == 0

@@ -14,7 +14,6 @@ from fracadrc import (
     GLOperator,
     Ieso,
     Ifeso,
-    ObserverGains,
     SimulationDiverged,
     Trajectory,
     bandwidth_gains,
@@ -102,9 +101,10 @@ def test_config_validation():
     pytest.param(lambda v: ref_plant(a_o=v), id="FracPlant.a_o"),
     pytest.param(lambda v: ref_plant(b_o=v), id="FracPlant.b_o"),
     pytest.param(lambda v: ref_plant(Ts=v), id="FracPlant.Ts"),
-    pytest.param(lambda v: ObserverGains(v, 1.0), id="ObserverGains.beta1"),
-    pytest.param(lambda v: ObserverGains(1.0, v), id="ObserverGains.beta2"),
     pytest.param(bandwidth_gains, id="bandwidth_gains"),
+    pytest.param(lambda v: Ieso(v, 1.0, REF["Ts"]), id="Ieso.omega_o"),
+    pytest.param(lambda v: Feso(v, 1.0, 0.8, REF["Ts"]), id="Feso.omega_o"),
+    pytest.param(lambda v: Ifeso(v, 1.0, 0.8, REF["Ts"]), id="Ifeso.omega_o"),
     pytest.param(lambda v: DisturbanceSignal.step(v),
                  id="DisturbanceSignal.amplitude"),
     pytest.param(lambda v: DisturbanceSignal.sinusoid(1.0, v),
@@ -114,11 +114,9 @@ def test_config_validation():
     pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.001),
                                            ref_plant(), v_d=v),
                  id="run_closed_loop.v_d"),
-    pytest.param(lambda v: Ieso(bandwidth_gains(400.0), 1.0, v), id="Ieso.Ts"),
-    pytest.param(lambda v: Feso(bandwidth_gains(400.0), 1.0, 0.8, v),
-                 id="Feso.Ts"),
-    pytest.param(lambda v: Ifeso(bandwidth_gains(400.0), 1.0, 0.8, v),
-                 id="Ifeso.Ts"),
+    pytest.param(lambda v: Ieso(400.0, 1.0, v), id="Ieso.Ts"),
+    pytest.param(lambda v: Feso(400.0, 1.0, 0.8, v), id="Feso.Ts"),
+    pytest.param(lambda v: Ifeso(400.0, 1.0, 0.8, v), id="Ifeso.Ts"),
     pytest.param(lambda v: GLOperator(0.8, v), id="GLOperator.step"),
     pytest.param(lambda v: gl_differintegral(np.ones(4), 0.8, v),
                  id="gl_differintegral.step"),
@@ -168,14 +166,13 @@ def test_loop_arithmetic_stays_in_python_floats(monkeypatch):
                         ref_plant(), d=DisturbanceSignal.step(0.5, 0.005))
         assert disturbances == [float] * 80
         obs = observers[-1]
-        assert [type(obs.z1), type(obs.z2), type(obs.q_hat)] == [float] * 3
+        assert [type(obs.z1), type(obs.z2), type(obs.q_hat), type(obs.beta1),
+                type(obs.beta2)] == [float] * 5
     cfg = AdrcConfig(K=np.float64(150.0), omega_o=np.float64(400.0),
                      b=np.float64(1.0), Ts=np.float64(REF["Ts"]),
                      horizon=np.float64(1.0))
     for name in ("K", "omega_o", "b", "Ts", "horizon"):
         assert type(getattr(cfg, name)) is float
-    obs_gains = ObserverGains(np.float64(1.0), np.float64(2.0))
-    assert [type(obs_gains.beta1), type(obs_gains.beta2)] == [float] * 2
 
 
 def test_disturbance_must_be_a_signal():

@@ -78,8 +78,8 @@ def test_errors_agree_at_dc():
     # Both observer structures leave the same static residual, set by the
     # unmodeled pole against the observer stiffness.
     a_o, mu, omega_o = 10.0, 0.6, 1600.0
-    g = bandwidth_gains(omega_o)
-    dc = (a_o * g.beta1) ** 2 / (a_o * g.beta1 + g.beta2) ** 2
+    beta1, beta2 = bandwidth_gains(omega_o)
+    dc = (a_o * beta1) ** 2 / (a_o * beta1 + beta2) ** 2
     assert float(mse_io(1e-9, a_o, mu, omega_o)) == pytest.approx(dc, rel=1e-6)
     assert float(mse_ifio(1e-9, a_o, mu, omega_o)) == pytest.approx(dc, rel=1e-6)
 

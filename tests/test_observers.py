@@ -14,18 +14,16 @@ from fracadrc import (
     FracPlant,
     Ieso,
     Ifeso,
-    ObserverGains,
     bandwidth_gains,
 )
 
 REF_TS = 1.0 / 8000.0
 
 
-def _build(cls):
-    gains = bandwidth_gains(400.0)
+def _build(cls, omega_o=400.0):
     if cls is Ieso:
-        return Ieso(gains, b=1.0, Ts=REF_TS)
-    return cls(gains, b=1.0, mu=0.8, Ts=REF_TS)
+        return Ieso(omega_o, b=1.0, Ts=REF_TS)
+    return cls(omega_o, b=1.0, mu=0.8, Ts=REF_TS)
 
 
 # ---------------------------------------------------------------------------
@@ -34,31 +32,31 @@ def _build(cls):
 
 
 def test_bandwidth_gain_examples():
-    g = bandwidth_gains(400.0)
-    assert (g.beta1, g.beta2) == (800.0, 160000.0)
-    g = bandwidth_gains(1600.0)
-    assert (g.beta1, g.beta2) == (3200.0, 2560000.0)
-    g = bandwidth_gains(1.0)
-    assert (g.beta1, g.beta2) == (2.0, 1.0)
+    assert bandwidth_gains(400.0) == (800.0, 160000.0)
+    assert bandwidth_gains(1600.0) == (3200.0, 2560000.0)
+    assert bandwidth_gains(1.0) == (2.0, 1.0)
+    gains = bandwidth_gains(np.float64(400.0))
+    assert gains == (800.0, 160000.0)
+    assert [type(g) for g in gains] == [float] * 2
 
 
 @given(omega_o=st.floats(min_value=1e-3, max_value=1e6))
 def test_bandwidth_gains_critically_damped(omega_o):
-    g = bandwidth_gains(omega_o)
+    beta1, beta2 = bandwidth_gains(omega_o)
     # (s + omega_o)^2 = s^2 + beta1*s + beta2
-    assert g.beta1 == pytest.approx(2.0 * omega_o, rel=1e-12)
-    assert g.beta2 == pytest.approx(omega_o**2, rel=1e-12)
+    assert beta1 == pytest.approx(2.0 * omega_o, rel=1e-12)
+    assert beta2 == pytest.approx(omega_o**2, rel=1e-12)
 
 
 def test_gain_validation():
-    with pytest.raises(ValueError):
-        bandwidth_gains(0.0)
-    with pytest.raises(ValueError):
-        bandwidth_gains(-5.0)
-    with pytest.raises(ValueError):
-        ObserverGains(beta1=-1.0, beta2=1.0)
-    with pytest.raises(ValueError):
-        ObserverGains(beta1=1.0, beta2=0.0)
+    # 1e200 and 1e-200 are finite, but their squares are inf and 0
+    for omega_o in (0.0, -5.0, math.nan, math.inf, -math.inf, 1e200,
+                    1e-200):
+        with pytest.raises(ValueError, match="omega_o"):
+            bandwidth_gains(omega_o)
+        for cls in (Ieso, Feso, Ifeso):
+            with pytest.raises(ValueError, match="omega_o"):
+                _build(cls, omega_o)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +105,7 @@ def test_integer_observer_equilibrium():
     # Constant y = 1, u = 0: z1 locks onto y and z2 onto the (zero)
     # residual drive within 20 bandwidth time constants.
     omega_o = 400.0
-    obs = Ieso(bandwidth_gains(omega_o), b=1.0, Ts=REF_TS)
+    obs = Ieso(omega_o, b=1.0, Ts=REF_TS)
     n = int(round(20.0 / omega_o / REF_TS))
     for _ in range(n):
         obs.step(0.0, 1.0)
@@ -120,7 +118,7 @@ def test_fractional_observer_pins_output_slow_residual():
     # but z2 must absorb the fractional derivative of the step history,
     # which decays only algebraically: monotone shrink, small by t=10.
     omega_o, Ts, mu = 40.0, 1e-3, 0.8
-    obs = Feso(bandwidth_gains(omega_o), b=1.0, mu=mu, Ts=Ts)
+    obs = Feso(omega_o, b=1.0, mu=mu, Ts=Ts)
     checkpoints = {}
     for k in range(int(10.0 / Ts)):
         obs.step(0.0, 1.0)
@@ -147,7 +145,7 @@ def test_fractional_observer_estimates_lumped_disturbance():
     # should converge to the true lumped term -a_o * y.
     a_o, mu, Ts = 10.0, 0.8, REF_TS
     plant = FracPlant(a_o=a_o, b_o=1.0, mu=mu, Ts=Ts)
-    obs = Feso(bandwidth_gains(400.0), b=1.0, mu=mu, Ts=Ts)
+    obs = Feso(400.0, b=1.0, mu=mu, Ts=Ts)
     n = int(round(1.0 / Ts))
     z2 = np.empty(n)
     truth = np.empty(n)
@@ -193,7 +191,7 @@ def _transfers(obs, s) -> dict[str, complex]:
 
 def test_improved_observer_gain_matches_transfer_function():
     omega = 50.0
-    obs = Ifeso(bandwidth_gains(400.0), b=1.0, mu=0.8, Ts=REF_TS)
+    obs = Ifeso(400.0, b=1.0, mu=0.8, Ts=REF_TS)
     measured = _measured_gain(obs, omega, REF_TS)
     expected = abs(_transfers(obs, 1j * omega)["z1_y"])
     assert abs(measured - expected) / expected < 0.02
@@ -201,7 +199,7 @@ def test_improved_observer_gain_matches_transfer_function():
 
 @pytest.mark.parametrize("omega", [10.0, 50.0, 200.0])
 def test_integer_observer_gain_matches_transfer_function(omega):
-    obs = Ieso(bandwidth_gains(400.0), b=1.0, Ts=REF_TS)
+    obs = Ieso(400.0, b=1.0, Ts=REF_TS)
     measured = _measured_gain(obs, omega, REF_TS)
     expected = abs(_transfers(obs, 1j * omega)["z1_y"])
     assert abs(measured - expected) / expected < 0.02
@@ -209,8 +207,8 @@ def test_integer_observer_gain_matches_transfer_function(omega):
 
 def test_transfer_dicts_reduce_at_integer_order():
     s = 1j * 70.0
-    ie = _transfers(Ieso(bandwidth_gains(400.0), b=1.0, Ts=REF_TS), s)
-    ife = _transfers(Ifeso(bandwidth_gains(400.0), b=1.0, mu=1.0, Ts=REF_TS),
+    ie = _transfers(Ieso(400.0, b=1.0, Ts=REF_TS), s)
+    ife = _transfers(Ifeso(400.0, b=1.0, mu=1.0, Ts=REF_TS),
                      s)
     for key in ("z1_y", "z1_u", "z2_y", "z2_u"):
         assert ife[key] == pytest.approx(ie[key], rel=1e-12)
@@ -230,7 +228,7 @@ BOUNDED_CASES = [(0.2, 2.0), (0.5, 40.0), (0.8, 400.0), (0.95, 400.0)]
 @pytest.mark.parametrize("mu, omega_o", BOUNDED_CASES)
 def test_improved_observer_bounded_under_bounded_drive(mu, omega_o):
     rng = np.random.default_rng(3)
-    obs = Ifeso(bandwidth_gains(omega_o), b=1.0, mu=mu, Ts=REF_TS)
+    obs = Ifeso(omega_o, b=1.0, mu=mu, Ts=REF_TS)
     peak = 0.0
     for u, y in rng.uniform(-1.0, 1.0, size=(80000, 2)):
         obs.step(u, y)
@@ -242,7 +240,7 @@ def test_improved_observer_bounded_under_bounded_drive(mu, omega_o):
 @pytest.mark.parametrize("mu, omega_o", BOUNDED_CASES)
 def test_fractional_observer_bounded_under_bounded_drive(mu, omega_o):
     rng = np.random.default_rng(3)
-    obs = Feso(bandwidth_gains(omega_o), b=1.0, mu=mu, Ts=REF_TS)
+    obs = Feso(omega_o, b=1.0, mu=mu, Ts=REF_TS)
     peak = 0.0
     for u, y in rng.uniform(-1.0, 1.0, size=(80000, 2)):
         obs.step(u, y)
@@ -259,8 +257,8 @@ def test_fractional_observer_bounded_under_bounded_drive(mu, omega_o):
 def test_improved_observer_collapses_to_integer_at_order_one():
     rng = np.random.default_rng(17)
     drive = rng.normal(size=(4000, 2))
-    ife = Ifeso(bandwidth_gains(400.0), b=1.0, mu=1.0, Ts=REF_TS)
-    ie = Ieso(bandwidth_gains(400.0), b=1.0, Ts=REF_TS)
+    ife = Ifeso(400.0, b=1.0, mu=1.0, Ts=REF_TS)
+    ie = Ieso(400.0, b=1.0, Ts=REF_TS)
     worst = 0.0
     for u, y in drive:
         ife.step(u, y)
@@ -273,8 +271,8 @@ def test_improved_observer_loop_form_also_collapses_at_order_one():
     # The same collapse through `loop_step`, the name run_closed_loop calls.
     rng = np.random.default_rng(18)
     drive = rng.normal(size=(2000, 2))
-    ife = Ifeso(bandwidth_gains(400.0), b=1.0, mu=1.0, Ts=REF_TS)
-    ie = Ieso(bandwidth_gains(400.0), b=1.0, Ts=REF_TS)
+    ife = Ifeso(400.0, b=1.0, mu=1.0, Ts=REF_TS)
+    ie = Ieso(400.0, b=1.0, Ts=REF_TS)
     worst = 0.0
     for u, y in drive:
         ife.loop_step(u, y)

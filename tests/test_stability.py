@@ -30,8 +30,8 @@ REF = dict(b=1.0, b_o=1.0, a_o=10.0, K=150.0, omega_o=400.0, p=4, q_den=5)
 def ref_poly(**overrides):
     kw = dict(REF)
     kw.update(overrides)
-    g = bandwidth_gains(kw.pop("omega_o"))
-    return build_char_poly(beta1=g.beta1, beta2=g.beta2, **kw)
+    beta1, beta2 = bandwidth_gains(kw.pop("omega_o"))
+    return build_char_poly(beta1=beta1, beta2=beta2, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -96,17 +96,17 @@ def test_matched_gain_polynomial_structure(a_o, K, omega_o, b, p, q_den):
     # all scaled by the common drive gain b.
     if p >= q_den or math.gcd(p, q_den) != 1:
         return
-    g = bandwidth_gains(omega_o)
+    beta1, beta2 = bandwidth_gains(omega_o)
     cp = build_char_poly(
-        b=b, b_o=b, a_o=a_o, K=K, beta1=g.beta1, beta2=g.beta2, p=p, q_den=q_den
+        b=b, b_o=b, a_o=a_o, K=K, beta1=beta1, beta2=beta2, p=p, q_den=q_den
     )
     deg = p + 2 * q_den
     expected = np.zeros(deg + 1)
     expected[p + 2 * q_den] += 1.0
-    expected[2 * q_den] += g.beta1 + a_o
+    expected[2 * q_den] += beta1 + a_o
     expected[p + q_den] += K
-    expected[q_den] += a_o * g.beta1 + g.beta2 + K * (g.beta1 + a_o)
-    expected[0] += K * g.beta2
+    expected[q_den] += a_o * beta1 + beta2 + K * (beta1 + a_o)
+    expected[0] += K * beta2
     expected *= b
     np.testing.assert_allclose(cp.coeffs, expected, rtol=1e-9, atol=1e-6)
     assert cp.p == p and cp.q_den == q_den
@@ -199,9 +199,9 @@ def test_loop_gate_matches_its_composition(mu):
     cfg, plant = ref_config(), ref_plant(mu=mu)
     poly, report = loop_sector_test(cfg, plant)
     p, q_den = rationalize_order(mu)
-    g = bandwidth_gains(cfg.omega_o)
-    expected = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, g.beta1,
-                               g.beta2, p, q_den)
+    beta1, beta2 = bandwidth_gains(cfg.omega_o)
+    expected = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, beta1,
+                               beta2, p, q_den)
     np.testing.assert_array_equal(poly.coeffs, expected.coeffs)
     assert (poly.p, poly.q_den) == (p, q_den)
     assert report.margin == sector_test(expected).margin
