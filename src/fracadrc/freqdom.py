@@ -9,6 +9,7 @@ same loops, from the rows of each update, are `control.loop_symbol`.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -26,23 +27,22 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
         raise ValueError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
-    decades = math.log10(omega_max / omega_min)
+    decades = math.log10(omega_max) - math.log10(omega_min)
     n = int(round(decades * points_per_decade)) + 1
     return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
 
 
 def g_io(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
          s) -> complex:
-    """Compensated object (outer-loop plant) under the integer observer."""
+    """Compensated object (outer-loop plant) under the integer observer.
+
+    Raises ZeroDivisionError at s = 0 and wherever the denominator is 0.
+    """
     s = complex(s)
-    if s == 0:
-        raise ZeroDivisionError("g_io has a pole at s=0")
     smu = s ** mu
     den = s * (b_o * omega_o * omega_o
                + a_o * b * (s + 2.0 * omega_o)
                + b * smu * (s + 2.0 * omega_o))
-    if den == 0:
-        raise ZeroDivisionError(f"g_io singular at s={s}")
     return b_o * (s + omega_o) ** 2 / den
 
 
@@ -51,18 +51,15 @@ def g_ifio(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
     """Compensated object under the improved fractional observer.
 
     With a_o = 0 and b = b_o this is exactly 1/s: the mismatch estimate
-    cancels the fractional dynamics completely.
+    cancels the fractional dynamics completely.  Raises ZeroDivisionError
+    at s = 0 and wherever the denominator is 0.
     """
     s = complex(s)
-    if s == 0:
-        raise ZeroDivisionError("g_ifio has a pole at s=0")
     smu = s ** mu
     num = b_o * (s ** (1.0 + mu) + 2.0 * omega_o * s + omega_o * omega_o)
     den = s * (b_o * omega_o * (2.0 * s - 2.0 * smu + omega_o)
                + a_o * b * (s + 2.0 * omega_o)
                + b * smu * (s + 2.0 * omega_o))
-    if den == 0:
-        raise ZeroDivisionError(f"g_ifio singular at s={s}")
     return num / den
 
 
@@ -130,10 +127,10 @@ def mse_ifio(omega, a_o: float, mu: float, omega_o: float):
 def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude (dB) and unwrapped phase (deg) of G over the grid.
 
-    Grid points where G is singular stay in the curves as NaN markers;
-    the phase is unwrapped across the remaining points by cumulative
-    nearest-branch selection.  An overflow inside G is raised again
-    with the frequency it happened at.
+    Every point is a number, or nothing is returned: an ArithmeticError
+    inside G is raised again with the frequency it happened at (a
+    ZeroDivisionError or OverflowError keeps its type), and a value of G
+    that is 0 or not finite raises OverflowError naming its frequency.
     """
     w = np.asarray(omega_grid, dtype=float)
     if w.ndim != 1 or w.size == 0:
@@ -143,19 +140,17 @@ def bode(G, omega_grid) -> tuple[np.ndarray, np.ndarray]:
                          "increasing")
     h = np.empty(w.size, dtype=complex)
     for i, wi in enumerate(w):
+        at = f"at omega = {wi:g} rad/s"
         try:
             h[i] = G(1j * wi)
-        except (ZeroDivisionError, ValueError):
-            h[i] = complex(np.nan, np.nan)
-        except OverflowError as exc:
-            raise OverflowError(f"transfer function overflowed at omega = "
-                                f"{wi:g} rad/s ({exc})") from None
-    finite = np.isfinite(h.real) & np.isfinite(h.imag) & (np.abs(h) > 0.0)
-    mag = np.full(w.size, np.nan)
-    mag[finite] = 20.0 * np.log10(np.abs(h[finite]))
-    phase = np.full(w.size, np.nan)
-    phase[finite] = np.degrees(np.unwrap(np.angle(h[finite])))
-    return mag, phase
+        except ArithmeticError as exc:
+            kind = next(k for k in (ZeroDivisionError, OverflowError,
+                                    ArithmeticError) if isinstance(exc, k))
+            raise kind(f"transfer function failed {at} ({exc})") from None
+        if h[i] == 0 or not cmath.isfinite(h[i]):
+            raise OverflowError(f"transfer function is {h[i]} {at}, not a "
+                                f"finite nonzero number")
+    return 20.0 * np.log10(np.abs(h)), np.degrees(np.unwrap(np.angle(h)))
 
 
 def write_mse_csv(path, omega, e_io, e_ifio) -> None:

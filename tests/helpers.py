@@ -126,3 +126,30 @@ def compensated_object(cfg: AdrcConfig, plant: FracPlant, s) -> np.ndarray:
     rhs = np.zeros(M.shape[:-1], dtype=complex)
     rhs[..., 4] = 1.0
     return np.linalg.solve(M, rhs[..., None])[..., 0, 0]
+
+
+def talbot(F, t, M: int = 32) -> np.ndarray:
+    """f(t) from its Laplace transform F, vectorised over points s, by the
+    fixed Talbot contour (Abate & Valko, "Multi-precision Laplace transform
+    inversion", Int. J. Numer. Meth. Eng. 60, 2004): M points on
+    s = r*theta*(cot(theta) + i), r = 2M/(5t), for each of the times `t`."""
+    t = np.asarray(t, dtype=float)[:, None]
+    theta = np.pi * np.arange(1, M) / M
+    cot = 1.0 / np.tan(theta)
+    path = np.concatenate([[1.0], theta * (cot + 1j)])
+    weight = np.concatenate(
+        [[0.5], 1.0 + 1j * (theta + (theta * cot - 1.0) * cot)])
+    r = 2.0 * M / (5.0 * t)
+    s = r * path
+    return (r[:, 0] / M) * np.sum(weight * np.exp(s * t) * F(s), axis=1).real
+
+
+def continuous_step(cfg: AdrcConfig, plant: FracPlant, t) -> np.ndarray:
+    """y(t) of the paper's continuous loop (loop_symbol at Laplace points)
+    for a unit-step reference V = 1/s, by Talbot inversion."""
+    def Y(s):
+        rhs = np.zeros(s.shape + (5,), dtype=complex)
+        rhs[..., 4] = cfg.K / s   # control row: K*V
+        return np.linalg.solve(loop_symbol(cfg, plant, s=s),
+                               rhs[..., None])[..., 0, 0]
+    return talbot(Y, t)

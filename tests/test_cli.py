@@ -192,7 +192,9 @@ def test_failed_root_check_is_one_error_line(tmp_path):
     (("stability", "--omega_o", "1e200"), "omega_o"),
     (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
     (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
-], ids=["stability", "mse", "bode"])
+    (("bode", "--which", "ifio", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
+    (("bode", "--omega-min", "1e-320"), "omega = 9.99989e-321 rad/s"),
+], ids=["stability", "mse", "bode", "bode-ifio", "bode-omega-min"])
 def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     # in a subprocess, so that a numpy warning would reach stderr too; each
     # value is finite, but a square or a power of it overflows
@@ -422,6 +424,14 @@ def test_mse_writes_error_curves(tmp_path):
     data = np.loadtxt(lines[1:], delimiter=",")
     assert np.all(data[:, 1] >= 0.0)
     assert np.all(data[:, 2] >= 0.0)
+
+
+def test_mse_takes_a_span_wider_than_a_float_ratio(tmp_path):
+    # 1e5 / 1e-320 overflows; the grid counts decades by logarithms instead
+    assert run_cli("mse", "--omega-min", "1e-320", "--output-dir",
+                   str(tmp_path)) == 0
+    lines = (tmp_path / "mse" / "mse.csv").read_text().splitlines()
+    assert len(lines) == 1 + 325 * 60 + 1
 
 
 def test_mse_requires_matched_gain(tmp_path, capsys):

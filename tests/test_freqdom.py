@@ -164,6 +164,13 @@ def test_log_grid_rejects_non_finite_bounds(bounds):
         log_grid(*bounds)
 
 
+def test_log_grid_spans_wider_than_a_float_ratio():
+    # 1e5 / 1e-320 overflows, although both bounds are finite
+    grid = log_grid(1e-320, 1e5, 1)
+    assert grid.size == 326
+    assert grid[-1] == 1e5
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(10.0, 1.0)
@@ -184,12 +191,25 @@ def test_bode_curves():
         assert phase[i] == pytest.approx(math.degrees(np.angle(val)))
 
 
-def test_bode_marks_singular_points_nan():
+def test_bode_raises_at_a_pole_naming_its_frequency():
     G = lambda s: 1.0 / (s - 10j)  # noqa: E731 - pole exactly on the grid
-    mag, phase = bode(G, np.array([5.0, 10.0, 20.0]))
-    assert math.isnan(mag[1]) and math.isnan(phase[1])
-    assert np.all(np.isfinite(np.delete(mag, 1)))
-    assert np.all(np.isfinite(np.delete(phase, 1)))
+    with pytest.raises(ZeroDivisionError, match="omega = 10 rad/s"):
+        bode(G, np.array([5.0, 10.0, 20.0]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, complex(math.nan, 0.0), 0.0],
+                         ids=["inf", "nan", "zero"])
+def test_bode_raises_on_a_value_that_is_not_a_finite_nonzero_number(bad):
+    # no curve carries a NaN row: one bad point stops the whole sampling
+    G = lambda s: bad if s == 10j else 1.0 / s  # noqa: E731
+    with pytest.raises(OverflowError, match="omega = 10 rad/s"):
+        bode(G, np.array([5.0, 10.0, 20.0]))
+
+
+@pytest.mark.parametrize("g", [g_io, g_ifio])
+def test_compensated_objects_have_a_pole_at_zero(g):
+    with pytest.raises(ZeroDivisionError):
+        g(*PARAMS.values(), 0.0)
 
 
 def test_integrated_estimate_flat_for_embedding_view():
