@@ -18,8 +18,8 @@ from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           UnstableConfigError, bode_files, gain_scale_entry,
-                          make_loop, mse_curves, mse_file, run_experiment,
-                          step_metrics, trajectory_files, write_manifest)
+                          make_loop, mse_files, run_experiment, step_metrics,
+                          trajectory_files, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
@@ -54,10 +54,10 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
                    help="artifact root directory (default: results)")
 
 
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--omega-min", type=float, default=None)
-    p.add_argument("--omega-max", type=float, default=None)
-    p.add_argument("--points-per-decade", type=int, default=60)
+def _add_grid_flags(p: argparse.ArgumentParser, grid: tuple) -> None:
+    p.add_argument("--omega-min", type=float, default=grid[0])
+    p.add_argument("--omega-max", type=float, default=grid[1])
+    p.add_argument("--points-per-decade", type=int, default=grid[2])
 
 
 def _build_parser() -> _Parser:
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
                                  "estimation-error analysis.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="one closed-loop step run")
+    p = sub.add_parser("simulate", help="one closed-loop step run")
     _add_param_flags(p)
     p.add_argument("--setpoint", type=float, default=1.0,
                    help="constant reference value (default 1.0)")
@@ -90,13 +90,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bode", help="compensated-object Bode CSVs")
     _add_param_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, BODE_GRID)
     p.add_argument("--which", choices=["io", "ifio", "both"], default="both")
     p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("mse", help="estimation-error closed-form curves")
     _add_param_flags(p)
-    _add_grid_flags(p)
+    _add_grid_flags(p, MSE_GRID)
     p.set_defaults(func=cmd_mse)
 
     p = sub.add_parser("stability", help="sector test of the closed loop "
@@ -156,12 +156,6 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
         if value is not None:
             params[key] = value
     return (params, *make_loop(params))
-
-
-def _grid_from(args, default_min: float, default_max: float):
-    lo = args.omega_min if args.omega_min is not None else default_min
-    hi = args.omega_max if args.omega_max is not None else default_max
-    return log_grid(lo, hi, args.points_per_decade)
 
 
 def cmd_simulate(args, params: dict, cfg: AdrcConfig,
@@ -233,7 +227,7 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 
 
 def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
-    grid = _grid_from(args, *BODE_GRID[:2])
+    grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
     outdir = Path(args.output_dir) / "bode"
     tags = ("io", "ifio") if args.which == "both" else (args.which,)
     files = bode_files(outdir, params, grid, tags)
@@ -250,15 +244,13 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     if params["b"] != params["b_o"]:
         raise ValueError("invalid value for 'b': closed-form estimation-error "
                          "curves require matched gain b = b_o")
-    grid = _grid_from(args, *MSE_GRID[:2])
-    curves = mse_curves(grid, params)
+    grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
     outdir = Path(args.output_dir) / "mse"
-    outdir.mkdir(parents=True, exist_ok=True)
+    files = mse_files(outdir, {}, grid, [("mse.csv", params)])
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},
-                   [mse_file(outdir, "mse.csv", grid, curves, params)],
-                   command="mse")
+                   files, command="mse")
     print(f"wrote {outdir / 'mse.csv'}")
     return 0
 

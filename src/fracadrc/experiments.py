@@ -139,20 +139,22 @@ def gain_scale_entry(point: dict, scale: float) -> tuple[str, dict, dict]:
             {**point, "gain_scale": scale})
 
 
-def mse_curves(grid: np.ndarray,
-               parameters: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Both closed-form estimation-error curves (e_io, e_ifio) at the a_o,
-    mu and omega_o of `parameters` over `grid`."""
-    args = (parameters["a_o"], parameters["mu"], parameters["omega_o"])
-    return mse_io(grid, *args), mse_ifio(grid, *args)
-
-
-def mse_file(outdir: Path, name: str, grid: np.ndarray,
-             curves: tuple[np.ndarray, np.ndarray], parameters: dict) -> dict:
-    """Write the (e_io, e_ifio) `curves` over `grid` as <outdir>/<name>;
-    returns its manifest entry."""
-    write_mse_csv(outdir / name, grid, *curves)
-    return {"path": name, "kind": "mse", "parameters": parameters}
+def mse_files(outdir: Path, data: dict, grid: np.ndarray,
+              entries: list[tuple[str, dict]]) -> list[dict]:
+    """Write one estimation-error CSV per (file name, parameters) entry
+    under `outdir`: both closed-form curves (e_io, e_ifio) at its a_o, mu
+    and omega_o over `grid`, every one computed before `outdir` is made.
+    `data` gets each file's metrics, for metrics.csv.  Returns their
+    manifest entries."""
+    args = [(p["a_o"], p["mu"], p["omega_o"]) for _, p in entries]
+    curves = [(mse_io(grid, *a), mse_ifio(grid, *a)) for a in args]
+    outdir.mkdir(parents=True, exist_ok=True)
+    files = []
+    for (name, parameters), pair in zip(entries, curves):
+        write_mse_csv(outdir / name, grid, *pair)
+        data[name] = _metrics("mse", pair)
+        files.append({"path": name, "kind": "mse", "parameters": parameters})
+    return files
 
 
 def bode_files(outdir: Path, params: dict, grid: np.ndarray,
@@ -216,22 +218,15 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
     data: dict[str, dict] = {}
 
     if exp_id == "fig4":
-        grid = log_grid(*MSE_GRID)
-        parameters = {**MSE_BASE, **MSE_GRID_PARAMS}
-        curves = mse_curves(grid, parameters)
-        data["mse.csv"] = _metrics("mse", curves)
-        files.append(mse_file(outdir, "mse.csv", grid, curves, parameters))
+        files = mse_files(outdir, data, log_grid(*MSE_GRID), [
+            ("mse.csv", {**MSE_BASE, **MSE_GRID_PARAMS})])
         manifest_params = dict(MSE_BASE)
 
     elif exp_id in MSE_FAMILIES:
         key, values = MSE_FAMILIES[exp_id]
-        grid = log_grid(*MSE_GRID)
-        for v in values:
-            name = f"mse_{key}_{v:g}.csv"
-            parameters = {**MSE_BASE, key: v, **MSE_GRID_PARAMS}
-            curves = mse_curves(grid, parameters)
-            data[name] = _metrics("mse", curves)
-            files.append(mse_file(outdir, name, grid, curves, parameters))
+        files = mse_files(outdir, data, log_grid(*MSE_GRID), [
+            (f"mse_{key}_{v:g}.csv", {**MSE_BASE, key: v, **MSE_GRID_PARAMS})
+            for v in values])
         manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
 
     elif exp_id in BODE_MUS:
@@ -321,7 +316,10 @@ def _metrics(kind: str, data) -> dict:
     if kind == "trajectory":
         return step_metrics(data.t, data.y, data.v_d, data.u0, data.Ts)
     e_io, e_ifio = data
-    return {"max_mse_ratio": float(np.max(e_io / e_ifio))}
+    # inf where e_ifio is 0 (everywhere at a_o = 0) or below e_io by more
+    # than the float range, NaN where both are 0
+    with np.errstate(all="ignore"):
+        return {"max_mse_ratio": float(np.max(e_io / e_ifio))}
 
 
 def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:

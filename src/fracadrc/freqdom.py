@@ -1,8 +1,8 @@
 """Frequency-domain analysis of disturbance estimation quality.
 
 Covers the paper's closed forms: the compensated-object transfer functions
-of the outer proportional loop (principal s**mu), the integrator mismatch
-delta(w) = 1 - jw*G(jw), its squared magnitude (real trigonometric
+of the outer proportional loop (principal s**mu), the squared magnitude of
+the integrator mismatch delta(w) = 1 - jw*G(jw) (real trigonometric
 arithmetic on shared terms, b = b_o), and Bode sampling over log grids.  The
 same loops, from the rows of each update, are `control.loop_symbol`.
 """
@@ -63,13 +63,6 @@ def g_ifio(a_o: float, b_o: float, b: float, mu: float, omega_o: float,
     return num / den
 
 
-def delta(G, omega: float) -> complex:
-    """Integrator mismatch 1 - j*omega*G(j*omega) at one frequency."""
-    if omega <= 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    return 1.0 - 1j * omega * G(1j * omega)
-
-
 def _mse_terms(omega, mu: float, omega_o: float):
     """omega as an array, checked >= 0, and the terms both forms share."""
     w = np.asarray(omega, dtype=float)
@@ -95,7 +88,8 @@ def mse_io(omega, a_o: float, mu: float, omega_o: float):
     """|1 - jw*G_io(jw)|**2 in closed form, matched gain b = b_o.
 
     Real arithmetic only (powers of omega and cos/sin of pi*mu/2), so it is
-    an independent route against the complex evaluation via delta(g_io).
+    an independent route against the complex evaluation of g_io by
+    `tests/helpers.py::delta`.
     Accepts a scalar or an array of frequencies; omega = 0 is the finite
     limit (2*a_o*omega_o / (2*a_o*omega_o + omega_o**2))**2.
     """

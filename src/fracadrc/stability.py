@@ -198,8 +198,17 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
     return z if _disks_disjoint(c, z) else None
 
 
-def _checked_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
-    """`poly_roots`'s roots and their normalized residuals, same order."""
+def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
+    """All complex roots and their normalized residuals, same order.  The
+    roots come from the Aberth iteration at degree >= ABERTH_MIN_DEGREE
+    when it certifies them, else from the eigenvalues of the balanced
+    companion matrix; then one Newton polish per root, verified against
+    a residual bound.
+
+    Raises ArithmeticError with the degree and the largest residual if
+    any residual exceeds the bound or is not finite.  Output is sorted by
+    (real, imag) so repeated calls are reproducible.
+    """
     c = poly.coeffs
     if c.size < 2:
         raise ValueError("polynomial must have degree >= 1")
@@ -226,19 +235,6 @@ def _checked_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
             f"{np.max(residuals):.3e} (bound {RESIDUAL_TOL:.1e})")
     order = np.lexsort((roots.imag, roots.real))
     return roots[order], residuals[order]
-
-
-def poly_roots(poly: CharPoly) -> np.ndarray:
-    """All complex roots, from the Aberth iteration at degree >=
-    ABERTH_MIN_DEGREE when it certifies them, else from the eigenvalues
-    of the balanced companion matrix; then one Newton polish per root,
-    verified against a residual bound.
-
-    Raises ArithmeticError with the degree and the largest residual if
-    any residual exceeds the bound or is not finite.  Output is sorted by
-    (real, imag) so repeated calls are reproducible.
-    """
-    return _checked_roots(poly)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +269,7 @@ def sector_test(poly: CharPoly) -> StabilityReport:
     margin = min |arg(w_i)| - lam*pi/2.  A margin inside (0, SECTOR_GUARD]
     is flagged marginal and judged unstable (conservative).
     """
-    roots, residuals = _checked_roots(poly)
+    roots, residuals = poly_roots(poly)
     args = np.angle(roots)
     margin = float(np.min(np.abs(args)) - poly.lam * np.pi / 2.0)
     return StabilityReport(roots=roots, args=args, margin=margin,

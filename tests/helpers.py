@@ -128,6 +128,13 @@ def compensated_object(cfg: AdrcConfig, plant: FracPlant, s) -> np.ndarray:
     return np.linalg.solve(M, rhs[..., None])[..., 0, 0]
 
 
+def delta(G, omega: float) -> complex:
+    """Integrator mismatch 1 - j*omega*G(j*omega) at one frequency."""
+    if omega <= 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
+    return 1.0 - 1j * omega * G(1j * omega)
+
+
 def talbot(F, t, M: int = 32) -> np.ndarray:
     """f(t) from its Laplace transform F, vectorised over points s, by the
     fixed Talbot contour (Abate & Valko, "Multi-precision Laplace transform

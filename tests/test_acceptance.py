@@ -24,7 +24,6 @@ from fracadrc import (
     SimulationDiverged,
     bandwidth_gains,
     build_char_poly,
-    delta,
     gl_differintegral,
     g_ifio,
     g_io,
@@ -38,7 +37,7 @@ from fracadrc import (
     step_metrics,
 )
 
-from helpers import REF, oustaloup, ref_config, ref_plant
+from helpers import REF, delta, oustaloup, ref_config, ref_plant
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -135,7 +134,7 @@ def test_criterion_3_sector_stability():
     ) and all(
         cp.coeffs[k] == 0.0 for k in range(15) if k not in expected
     )
-    roots = poly_roots(cp)
+    roots, _ = poly_roots(cp)
     rep = sector_test(cp)
     sector_ok = (
         roots.size == 14

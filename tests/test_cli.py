@@ -434,6 +434,26 @@ def test_mse_takes_a_span_wider_than_a_float_ratio(tmp_path):
     assert len(lines) == 1 + 325 * 60 + 1
 
 
+def test_mse_without_pole_mismatch_has_no_estimation_error(tmp_path,
+                                                           capsys):
+    # a_o = 0: G_ifio is 1/s and e_ifio is 0 at every frequency, so the
+    # peak ratio e_io / e_ifio divides by zero without a warning
+    assert run_cli("mse", "--a_o", "0", "--output-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "mse" / "mse.csv").read_text().splitlines()
+    assert len(lines) == 1 + 301
+    assert {line.split(",")[2] for line in lines[1:]} == {"0.0"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a_o", "1e-155"],                         # e_io / e_ifio overflows
+    ["--a_o", "0", "--omega-min", "1e-320"],     # both curves underflow to 0
+])
+def test_mse_peak_ratio_out_of_range_is_no_warning(tmp_path, capsys, argv):
+    assert run_cli("mse", *argv, "--output-dir", str(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_mse_requires_matched_gain(tmp_path, capsys):
     assert run_cli("mse", "--b", "2", "--output-dir", str(tmp_path)) == 1
     assert "b" in capsys.readouterr().err

@@ -15,6 +15,7 @@ from fracadrc import (
     Trajectory,
     UnstableConfigError,
     experiments,
+    log_grid,
     run_experiment,
     step_metrics,
     summarize,
@@ -135,6 +136,17 @@ def test_trajectory_files_simulates_each_loop_once(tmp_path, monkeypatch):
                tmp_path / "b" / "z.csv"]
     assert len({path.read_bytes() for path in written}) == 1
     assert data["x.csv"] is data["y.csv"] is data["z.csv"]
+
+
+def test_mse_files_computes_every_curve_before_making_a_directory(tmp_path):
+    grid = log_grid(*experiments.MSE_GRID)
+    data = {}
+    with pytest.raises(OverflowError, match="mse_io"):
+        experiments.mse_files(tmp_path / "out", data, grid, [
+            ("a.csv", experiments.MSE_BASE),
+            ("b.csv", {**experiments.MSE_BASE, "a_o": 1e200})])
+    assert not (tmp_path / "out").exists()
+    assert data == {}
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -14,7 +14,6 @@ from fracadrc import (
     AdrcConfig,
     bandwidth_gains,
     bode,
-    delta,
     g_ifio,
     g_io,
     log_grid,
@@ -23,7 +22,7 @@ from fracadrc import (
 )
 from fracadrc.experiments import MSE_BASE, MSE_GRID
 
-from helpers import compensated_object, ref_plant
+from helpers import compensated_object, delta, ref_plant
 
 # in the argument order of g_io and g_ifio
 PARAMS = dict(a_o=10.0, b_o=1.0, b=1.0, mu=0.8, omega_o=400.0)
@@ -39,14 +38,6 @@ tuples = st.tuples(
 # ---------------------------------------------------------------------------
 # Transfer functions
 # ---------------------------------------------------------------------------
-
-
-def test_delta_is_integrator_mismatch():
-    G = partial(g_ifio, *PARAMS.values())
-    omega = 50.0
-    assert delta(G, omega) == pytest.approx(
-        1.0 - 1j * omega * G(1j * omega), rel=1e-12
-    )
 
 
 def test_perfect_model_estimates_exactly():

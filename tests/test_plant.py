@@ -3,6 +3,7 @@ reconstruction of the lumped-disturbance decompositions."""
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from fracadrc import (
     run_closed_loop,
 )
 
-from helpers import REF, ref_config, ref_plant
+from helpers import REF, ref_config, ref_plant, talbot
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +86,28 @@ def test_sinusoid_response_matches_transfer_function(omega, periods):
     measured = (y[tail].max() - y[tail].min()) / 2.0
     expected = abs(_tf(plant, 1j * omega))
     assert abs(measured - expected) / expected < 0.02
+
+
+def test_step_response_error_is_first_order():
+    # against the exact response b_o*t**mu*E_{mu,mu+1}(-a_o*t**mu), the
+    # Talbot inverse of b_o/(s*(s**mu + a_o)); step n is the output at
+    # t = n*Ts.  Measured at 8 kHz: 4.42e-5 at 10 ms, 2.01e-5 at 0.1 s and
+    # 2.88e-7 at 1 s; the max error over t >= 10 ms is 3.99x that at 32 kHz
+    t0 = time.perf_counter()
+    n = np.arange(80, 8001)  # t = 10 ms ... 1 s at 8 kHz
+    exact = talbot(lambda s: REF["b_o"] / (s * (s ** REF["mu"] + REF["a_o"])),
+                   n / 8000.0)
+    err = {}
+    for fs in (8000, 32000):
+        plant = ref_plant(Ts=1.0 / fs)
+        y = np.array([plant.step(1.0) for _ in range(fs)])
+        err[fs] = np.abs(y[n * (fs // 8000) - 1] - exact)
+    elapsed = time.perf_counter() - t0
+    assert err[8000][n == 80] < 5e-5
+    assert err[8000][n == 800] < 2.5e-5
+    assert err[8000][n == 8000] < 3.5e-7
+    assert 3.0 <= err[8000].max() / err[32000].max() <= 5.0
+    assert elapsed < 0.5
 
 
 def test_gain_scaling_scales_output():

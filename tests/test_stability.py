@@ -120,7 +120,7 @@ def test_matched_gain_polynomial_structure(a_o, K, omega_o, b, p, q_den):
 
 def test_reference_roots_satisfy_polynomial():
     cp = ref_poly()
-    roots = poly_roots(cp)
+    roots, _ = poly_roots(cp)
     assert roots.size == 14
     # ascending coefficients: evaluate sum c_k w^k directly
     for w in roots:
@@ -129,7 +129,7 @@ def test_reference_roots_satisfy_polynomial():
 
 
 def test_roots_close_under_conjugation():
-    roots = poly_roots(ref_poly())
+    roots, _ = poly_roots(ref_poly())
     conj = np.conj(roots)
     for r in roots:
         assert np.min(np.abs(conj - r)) < 1e-6
@@ -235,11 +235,30 @@ def test_broadcast_residuals_match_the_per_root_loop(mu):
         _loop_residuals(poly.coeffs, roots))
 
 
+@pytest.mark.parametrize("mu", [0.8, 0.73])
+def test_sector_test_takes_its_roots_from_poly_roots(monkeypatch, mu):
+    # the public root solve is the one that runs, once per sector test
+    calls = []
+    solve = stability.poly_roots
+
+    def counted(poly):
+        calls.append(solve(poly))
+        return calls[-1]
+
+    monkeypatch.setattr(stability, "poly_roots", counted)
+    _, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    assert len(calls) == 1
+    assert report.roots is calls[0][0]
+    assert report.residuals is calls[0][1]
+
+
 @pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273)])
 def test_report_carries_its_own_roots_residuals(mu, degree):
     poly, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
     assert poly.degree == degree
-    np.testing.assert_array_equal(report.roots, poly_roots(poly))
+    roots, residuals = poly_roots(poly)
+    np.testing.assert_array_equal(report.roots, roots)
+    np.testing.assert_array_equal(report.residuals, residuals)
     assert np.array_equal(
         report.residuals,
         stability._normalized_residuals(poly.coeffs, report.roots))
@@ -256,7 +275,7 @@ def test_aberth_roots_match_the_eigenvalues(monkeypatch, mu, K, b_o,
                                     ref_plant(mu=mu, b_o=b_o))
     assert poly.degree >= stability.ABERTH_MIN_DEGREE
     assert stability._aberth_roots(poly.coeffs) is not None
-    roots, eig = poly_roots(poly), np.roots(poly.coeffs[::-1])
+    (roots, _), eig = poly_roots(poly), np.roots(poly.coeffs[::-1])
     # root for root: each eigenvalue's nearest root, a different one each
     gap = np.abs(eig[:, None] - roots[None, :])
     nearest = gap.argmin(axis=1)
@@ -275,14 +294,16 @@ def test_double_root_falls_back_to_the_eigenvalues(monkeypatch):
     poly = CharPoly(coeffs=c, p=0, q_den=1)
     assert poly.degree == 42 >= stability.ABERTH_MIN_DEGREE
     assert stability._aberth_roots(c) is None
-    roots = poly_roots(poly)
+    roots, residuals = poly_roots(poly)
     _eig_only(monkeypatch)
-    np.testing.assert_array_equal(roots, poly_roots(poly))
+    eig_roots, eig_residuals = poly_roots(poly)
+    np.testing.assert_array_equal(roots, eig_roots)
+    np.testing.assert_array_equal(residuals, eig_residuals)
 
 
 def test_inclusion_disks_reject_a_repeated_approximation():
     poly, _ = loop_sector_test(ref_config(), ref_plant(mu=0.73))
-    roots = poly_roots(poly)
+    roots, _ = poly_roots(poly)
     assert stability._disks_disjoint(poly.coeffs, roots)
     twice = roots.copy()
     twice[1] = twice[0]  # one root found twice, its neighbour not at all
