@@ -332,9 +332,9 @@ def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
     write_rows(outdir / "metrics.csv", columns,
-               (["" if c not in row else repr(float(row[c]))
-                 if isinstance(row[c], (int, float, np.floating))
-                 else str(row[c]) for c in columns] for row in rows))
+               [(["" if c not in row else repr(float(row[c]))
+                  if isinstance(row[c], (int, float, np.floating))
+                  else str(row[c]) for c in columns] for row in rows)])
     return rows
 
 
