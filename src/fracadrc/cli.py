@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, *resolve_params(args))
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1
     except SimulationDiverged as exc:

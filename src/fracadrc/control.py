@@ -149,30 +149,32 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
     dview = memoryview(darr)
 
     obs = _observer(cfg, plant)
-    ya = np.empty(n)
-    ua = np.empty(n)
-    u0a = np.empty(n)
-    z1a = np.empty(n)
-    z2a = np.empty(n)
-    qha = np.empty(n)
+    # six separate columns, each written through a memoryview: a store of
+    # a Python float costs less there than through the numpy array
+    ya, ua, u0a, z1a, z2a, qha = (np.empty(n) for _ in range(6))
+    yv, uv, u0v, z1v, z2v, qhv = map(memoryview, (ya, ua, u0a, z1a, z2a, qha))
+    obs_step, plant_step, K, b = obs.loop_step, plant.step, cfg.K, cfg.b
 
     y = 0.0
     u_prev = 0.0
     for k in range(n):
         # stepping on the previous u keeps the improved observer's drive
         # +q_hat aligned with the -q_hat the control carries
-        obs.loop_step(u_prev, y)
-        u0 = cfg.K * (v_d - obs.z1)
-        u = (u0 - obs.z2 - obs.q_hat) / cfg.b
-        ya[k] = y
-        ua[k] = u
-        u0a[k] = u0
-        z1a[k] = obs.z1
-        z2a[k] = obs.z2
-        qha[k] = obs.q_hat
+        obs_step(u_prev, y)
+        z1, z2, q_hat = obs.z1, obs.z2, obs.q_hat
+        u0 = K * (v_d - z1)
+        u = (u0 - z2 - q_hat) / b
+        yv[k] = y
+        uv[k] = u
+        u0v[k] = u0
+        z1v[k] = z1
+        z2v[k] = z2
+        qhv[k] = q_hat
         # a Python float: darr[k] is a numpy float64 and slows every state
-        y = plant.step(u, dview[k])
-        if not math.isfinite(y) or abs(y) > DIVERGENCE_LIMIT:
+        y = plant_step(u, dview[k])
+        # a NaN fails both comparisons: one test catches NaN, +-inf and
+        # |y| beyond the limit
+        if not -DIVERGENCE_LIMIT <= y <= DIVERGENCE_LIMIT:
             raise SimulationDiverged(k, float(y))
         u_prev = u
     return Trajectory(t=t, v_d=vd, y=ya, u=ua, u0=u0a, z1=z1a, z2=z2a,

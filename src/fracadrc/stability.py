@@ -91,23 +91,56 @@ def build_char_poly(b: float, b_o: float, a_o: float, K: float, beta1: float,
     return CharPoly(coeffs=c, p=int(p), q_den=int(q_den))
 
 
+def _term_scale(abs_c: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """sum_k abs_c[k] * base**k per base, bit for bit as the dense table
+    sums it: terms are formed only at the nonzero abs_c[k], and the other
+    entries are left 0 except at the highest zero power, whose 0 * base**k
+    is NaN exactly when some zero term's power overflows (base >= 1)."""
+    cols = np.flatnonzero(abs_c)
+    zero = np.flatnonzero(abs_c == 0.0)
+    if zero.size:
+        cols = np.append(cols, zero[-1])
+    table = np.zeros((base.size, abs_c.size))
+    table[:, cols] = abs_c[cols] * base[:, None] ** cols
+    return table.sum(axis=1)
+
+
 def _normalized_residuals(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """|P(w)| / sum_k |c_k| * max(1, |w|)**k, one entry per root; NaN
     where that cannot be evaluated in floating point."""
     # hypot, not np.abs: it is the scalar abs(w) bit for bit, which the
     # frozen fig10 report's residual_max was computed with
     modulus = np.hypot(roots.real, roots.imag)
-    powers = np.arange(c.size)
     with np.errstate(all="ignore"):
-        res = np.abs(npoly.polyval(roots, c)) / np.sum(
-            np.abs(c) * np.maximum(1.0, modulus)[:, None] ** powers, axis=1)
+        res = np.abs(npoly.polyval(roots, c)) / _term_scale(
+            np.abs(c), np.maximum(1.0, modulus))
         big = ~np.isfinite(res) & (modulus > 1.0)
         if big.any():  # |w|**k overflowed: divide P(w) and the scale by w**n
             rev = c[::-1]
             res[big] = (np.abs(npoly.polyval(1.0 / roots[big], rev))
-                        / np.sum(np.abs(rev) * (1.0 / modulus[big])[:, None]
-                                 ** powers, axis=1))
+                        / _term_scale(np.abs(rev), 1.0 / modulus[big]))
     return res
+
+
+def _sparse_horner(c: np.ndarray,
+                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(z) and P'(z) by Horner's rule over the nonzero terms of c only,
+    down to c_0, which must be nonzero: each gap between two powers is
+    bridged by z**gap, formed by binary powering."""
+    powers = np.flatnonzero(c)[::-1].tolist()
+    value = np.full(z.shape, c[powers[0]], dtype=complex)
+    z_slope = powers[0] * value  # z * P'(z): Horner over k * c_k
+    for hi, lo in zip(powers[:-1], powers[1:]):
+        gap, square, z_gap = hi - lo, z, None
+        while gap:
+            if gap & 1:
+                z_gap = square if z_gap is None else z_gap * square
+            gap >>= 1
+            if gap:
+                square = square * square
+        value = value * z_gap + c[lo]
+        z_slope = z_slope * z_gap + lo * c[lo]
+    return value, z_slope / z
 
 
 def _scaled_terms(z: np.ndarray, powers: np.ndarray,
@@ -202,8 +235,9 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
     """All complex roots and their normalized residuals, same order.  The
     roots come from the Aberth iteration at degree >= ABERTH_MIN_DEGREE
     when it certifies them, else from the eigenvalues of the balanced
-    companion matrix; then one Newton polish per root, verified against
-    a residual bound.
+    companion matrix; then one Newton polish per root (from the nonzero
+    terms for Aberth roots, from every coefficient for eigenvalues),
+    verified against a residual bound.
 
     Raises ArithmeticError with the degree and the largest residual if
     any residual exceeds the bound or is not finite.  Output is sorted by
@@ -215,11 +249,15 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
     if c[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
     roots = _aberth_roots(c) if poly.degree >= ABERTH_MIN_DEGREE else None
-    if roots is None:
+    certified = roots is not None
+    if not certified:
         roots = np.roots(c[::-1]).astype(complex)
     with np.errstate(all="ignore"):  # a non-finite step is not taken
-        pv = npoly.polyval(roots, c)
-        dv = npoly.polyval(roots, npoly.polyder(c))
+        if certified:  # Aberth refuses c_0 = 0: the sparse pass ends at c_0
+            pv, dv = _sparse_horner(c, roots)
+        else:
+            pv = npoly.polyval(roots, c)
+            dv = npoly.polyval(roots, npoly.polyder(c))
         safe = dv != 0
         polished = np.where(safe, roots - pv / np.where(safe, dv, 1.0),
                             roots)

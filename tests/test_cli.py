@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracadrc import Trajectory, experiments, run_closed_loop
+from fracadrc import Trajectory, cli, experiments, run_closed_loop
 from fracadrc.cli import main
 
 from helpers import ref_config, ref_plant
@@ -303,6 +303,22 @@ def test_divergence_prints_its_cause_once(tmp_path, capsys):
     assert run_cli("simulate", "--variant", "fadrc", "--mu", "0.6",
                    "--output-dir", str(tmp_path)) == 3
     assert capsys.readouterr().err.count("simulation diverged") == 1
+
+
+def test_oversized_run_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # `simulate --Ts 1e-12` asks for 10**12 samples; the refused allocation
+    # is raised in place of the run, so that the test allocates nothing
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "run_closed_loop", refuse)
+    assert run_cli("simulate", "--Ts", "1e-12",
+                   "--output-dir", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fracadrc: error: Unable to allocate 7.28 TiB")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "simulate").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 disturbance rejection, gain-scale runs, and variant reductions."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from fracadrc import (
 )
 from fracadrc import control
 from fracadrc.artifacts import CSV_BLOCK_ROWS
-from fracadrc.control import TRAJECTORY_COLUMNS
+from fracadrc.control import DIVERGENCE_LIMIT, TRAJECTORY_COLUMNS
 from fracadrc.experiments import trajectory_files
 
 from helpers import (REF, continuous_step, ref_config, ref_plant,
@@ -190,6 +192,24 @@ def test_divergence_raises_with_step_index():
     assert "np.float64" not in str(exc.value)  # plain-float message
 
 
+@pytest.mark.parametrize("beyond", [np.nan, np.inf, -np.inf,
+                                    np.nextafter(DIVERGENCE_LIMIT, np.inf)],
+                         ids=["nan", "inf", "-inf", "next-above-limit"])
+def test_divergence_is_caught_at_the_first_output_out_of_bounds(monkeypatch,
+                                                               beyond):
+    # +-DIVERGENCE_LIMIT are in bounds; the next output, past the limit or
+    # not finite, stops the run at its own step with its own value
+    outputs = iter([DIVERGENCE_LIMIT, -DIVERGENCE_LIMIT, float(beyond)])
+    monkeypatch.setattr(FracPlant, "step",
+                        lambda self, u, d=0.0: next(outputs, 0.0))
+    with pytest.raises(SimulationDiverged) as exc:
+        run_closed_loop(ref_config(horizon=0.01), ref_plant())
+    assert exc.value.step_index == 2
+    assert type(exc.value.value) is float
+    assert (exc.value.value == beyond
+            or (math.isnan(beyond) and math.isnan(exc.value.value)))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -228,7 +248,10 @@ def test_trajectory_csv_is_row_by_row_repr_across_write_blocks(tmp_path):
     expected = ",".join(TRAJECTORY_COLUMNS) + "\n" + "".join(
         ",".join(repr(float(v)) for v in row) + "\n"
         for row in zip(*(cols[name] for name in TRAJECTORY_COLUMNS)))
-    assert (tmp_path / "traj.csv").read_text() == expected
+    # as lists of lines, so that a mismatch is reported without a
+    # character diff of two long texts
+    assert ((tmp_path / "traj.csv").read_text().splitlines(keepends=True)
+            == expected.splitlines(keepends=True))
 
 
 # ---------------------------------------------------------------------------

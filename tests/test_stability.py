@@ -226,6 +226,36 @@ def _loop_residuals(c, roots):
     return vals / scale
 
 
+def _dense_residuals(c, roots):
+    # the residuals with the scale's table formed at every power, zeros too
+    modulus = np.hypot(roots.real, roots.imag)
+    powers = np.arange(c.size)
+    with np.errstate(all="ignore"):
+        res = np.abs(npoly.polyval(roots, c)) / np.sum(
+            np.abs(c) * np.maximum(1.0, modulus)[:, None] ** powers, axis=1)
+        big = ~np.isfinite(res) & (modulus > 1.0)
+        rev = c[::-1]
+        res[big] = (np.abs(npoly.polyval(1.0 / roots[big], rev))
+                    / np.sum(np.abs(rev) * (1.0 / modulus[big])[:, None]
+                             ** powers, axis=1))
+    return res
+
+
+def test_sparse_scale_is_the_dense_table_bit_for_bit():
+    # P(w) = 1e-300 * w**300 + 1 stays finite at |w| = 20, where 20**k
+    # overflows from k = 237 on: the dense table's 0 * inf makes the scale
+    # NaN and sends the row to the reversed evaluation, and so must the
+    # sparse one; mu = 1/60 has a root near 810
+    tiny = np.zeros(301)
+    tiny[[0, 300]] = 1.0, 1e-300
+    large, _ = loop_sector_test(ref_config(), ref_plant(mu=1 / 60))
+    roots = np.r_[20.0, 20j, -1.5 + 0.5j, 0.3, 810.0, 1e10j]
+    for c in (tiny, large.coeffs):
+        np.testing.assert_array_equal(
+            stability._normalized_residuals(c, roots),
+            _dense_residuals(c, roots))
+
+
 @pytest.mark.parametrize("mu", [0.6, 0.8, 0.73])
 def test_broadcast_residuals_match_the_per_root_loop(mu):
     poly, _ = loop_sector_test(ref_config(), ref_plant(mu=mu))
@@ -285,6 +315,33 @@ def test_aberth_roots_match_the_eigenvalues(monkeypatch, mu, K, b_o,
     eig_report = sector_test(poly)
     assert report.stable == eig_report.stable
     assert report.margin == pytest.approx(eig_report.margin, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.37, 0.51, 0.73, 0.87])
+@pytest.mark.parametrize("K, b_o, omega_o", [(150.0, 1.0, 400.0),
+                                             (1e4, 0.5, 100.0),
+                                             (10.0, 2.0, 3000.0),
+                                             (150.0, -1.0, 400.0)])
+def test_aberth_roots_take_the_sparse_newton_polish(mu, K, b_o, omega_o):
+    poly, report = loop_sector_test(ref_config(K=K, omega_o=omega_o),
+                                    ref_plant(mu=mu, b_o=b_o))
+    c, k = poly.coeffs, np.arange(poly.coeffs.size)
+    z = stability._aberth_roots(c)
+    assert z is not None
+    # P and P' from the five nonzero terms are the dense ones, to within
+    # 1e-12 of the sum of the moduli of their terms
+    value, slope = stability._sparse_horner(c, z)
+    dense_value = npoly.polyval(z, c)
+    dense_slope = npoly.polyval(z, npoly.polyder(c))
+    modulus = np.abs(z)[:, None]
+    assert np.all(np.abs(value - dense_value)
+                  <= 1e-12 * np.sum(np.abs(c) * modulus ** k, axis=1))
+    assert np.all(np.abs(slope - dense_slope)
+                  <= 1e-12 * np.sum(k[1:] * np.abs(c[1:])
+                                    * modulus ** (k[1:] - 1), axis=1))
+    # the polish is as good as one dense Newton step from the same roots
+    dense = stability._normalized_residuals(c, z - dense_value / dense_slope)
+    assert report.residuals.max() <= 2.0 * dense.max()
 
 
 def test_double_root_falls_back_to_the_eigenvalues(monkeypatch):
