@@ -10,6 +10,7 @@ residual check, 2 unstable verdict, 3 simulation divergence.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -176,7 +177,10 @@ def cmd_simulate(args, params: dict, cfg: AdrcConfig,
                                    "kind": "trajectory", "parameters": meta}],
                    command="simulate")
     m = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
-    print(f"simulate: {params['variant']} settle_2pct={m['settle_2pct_s']:.4g}s "
+    settle = m["settle_2pct_s"]
+    settle = (f"did not settle within 2% by t={traj.t[-1]:.4g}s"
+              if math.isnan(settle) else f"settle_2pct={settle:.4g}s")
+    print(f"simulate: {params['variant']} {settle} "
           f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g}")
     print(f"wrote {outdir / 'trajectory.csv'}")
     return 0

@@ -99,7 +99,9 @@ class Trajectory:
         return self.t.size
 
     def to_csv(self, path) -> None:
-        """Write all columns in full double precision (round-trip reprs)."""
+        """Write all columns as CSV, each cell the shortest text that reads
+        back as its double (repr's text), made by `artifacts.write_csv`'s
+        block kernel."""
         write_csv(path, TRAJECTORY_COLUMNS,
                   [getattr(self, name) for name in TRAJECTORY_COLUMNS])
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json, write_rows
+from .artifacts import float_cells, write_json, write_rows
 from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
@@ -273,8 +273,10 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
 
     overshoot (% of target), 2%-band settling time, relative steady-state
     error, 10-90% rise time, and the RMS of the compensation residual
-    ydot - u0 over the transient window.  An identically zero trajectory
-    reports all zeros.
+    ydot - u0 over the transient window.  The settling time is NaN if the
+    last sample is still outside the band, the rise time if the output
+    never crosses 10% or 90%.  An identically zero trajectory reports all
+    zeros.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -289,7 +291,9 @@ def step_metrics(t: np.ndarray, y: np.ndarray, v_d: np.ndarray,
         sign = 1.0 if target >= 0.0 else -1.0
         overshoot = max(0.0, float(sign * (np.max(sign * y) - target)) / scale)
         outside = np.abs(y - target) > 0.02 * scale
-        settle = 0.0 if not outside.any() else float(t[np.max(np.nonzero(outside))] + Ts)
+        # NaN when the run ends outside the band: it has not settled
+        settle = (float("nan") if outside[-1] else 0.0 if not outside.any()
+                  else float(t[np.max(np.nonzero(outside))] + Ts))
         above10 = np.nonzero(sign * y >= 0.1 * scale)[0]
         above90 = np.nonzero(sign * y >= 0.9 * scale)[0]
         rise = float("nan")
@@ -331,10 +335,12 @@ def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
             if entry["kind"] in METRIC_KINDS]
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
+    numbers = {(i, c): row[c] for i, row in enumerate(rows) for c in columns
+               if isinstance(row.get(c), (int, float, np.floating))}
+    texts = dict(zip(numbers, float_cells(list(numbers.values()))))
     write_rows(outdir / "metrics.csv", columns,
-               [(["" if c not in row else repr(float(row[c]))
-                  if isinstance(row[c], (int, float, np.floating))
-                  else str(row[c]) for c in columns] for row in rows)])
+               [[texts.get((i, c), str(row.get(c, ""))) for c in columns]
+                for i, row in enumerate(rows)])
     return rows
 
 

@@ -1,13 +1,17 @@
 """Artifact writers: malformed CSV tables, block edges and every repr form
-against the plain per-row writer, and the CSV writer's memory bound."""
+against the plain per-row writer, every cell against `repr` over random
+bit patterns and the digit and layout edges, and the CSV writer's memory
+bound."""
 from __future__ import annotations
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fracadrc.artifacts import CSV_BLOCK_ROWS, write_csv
+from fracadrc.artifacts import CSV_BLOCK_ROWS, float_cells, write_csv
 from fracadrc.freqdom import write_bode_csv, write_mse_csv
 
 # every form a double's repr takes: signed zero, subnormal, exponent form
@@ -54,6 +58,50 @@ def test_csv_is_per_row_repr_at_block_edges(tmp_path, writer, header, rows):
     # instead of diffing two long texts
     assert ((tmp_path / "table.csv").read_text().splitlines(keepends=True)
             == per_row_csv(header, columns).splitlines(keepends=True))
+
+
+def _edge_doubles() -> np.ndarray:
+    """Doubles at the edges of the digit step and of the layout."""
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # a power of two's significand, 2**52, is the one whose rounding
+    # interval is shorter below it than above
+    neighbours = [np.nextafter(v, to) for v in (powers, tens)
+                  for to in (0.0, np.inf)]
+    subnormals = np.arange(1, 4097, dtype=np.uint64).view(np.float64)
+    layout = [9999999999999998.0, 1e16, 1e100, 0.0001, 9.999999999999999e-05,
+              1e-05, 1.7976931348623157e+308, 2.2250738585072014e-308,
+              5e-324]
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000,
+                     0x7FF0000000000001], dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, np.inf, -np.inf, *nans]
+    edges = np.concatenate([powers, tens, *neighbours, subnormals, layout])
+    return np.concatenate([edges, -edges, special])
+
+
+# repr itself takes about 3 us a cell on random bit patterns (their
+# exponents are mostly large), so 2**18 of them keep the test near 1 s
+@pytest.mark.parametrize("doubles", [
+    pytest.param(lambda: np.random.default_rng(25).integers(
+        0, 2**64, 2**18, dtype=np.uint64, endpoint=False).view(np.float64),
+        id="random-bit-patterns"),
+    pytest.param(_edge_doubles, id="edges"),
+])
+def test_every_cell_is_its_doubles_repr(tmp_path, doubles):
+    # in eight columns, a table of many write blocks
+    x = doubles()
+    table = np.resize(x, (-(-x.size // 8), 8))
+    write_csv(tmp_path / "table.csv", tuple("abcdefgh"), list(table.T))
+    body = (tmp_path / "table.csv").read_text().split("\n", 1)[1]
+    got = body.replace("\n", ",").split(",")[:-1]
+    expected = list(map(repr, table.ravel().tolist()))
+    wrong = [(r, g) for r, g in zip(expected, got) if r != g]
+    assert len(got) == len(expected) and not wrong[:10]
+
+
+@given(st.floats())
+def test_float_cell_is_repr(x):
+    assert float_cells([x]) == [repr(x)]
 
 
 def _write_peak_bytes(path, rows) -> int:

@@ -118,6 +118,15 @@ def test_non_finite_parameter_fails(tmp_path, capsys, argv, name):
     assert name in capsys.readouterr().err
 
 
+def test_simulate_says_a_run_that_ends_outside_the_band_did_not_settle(
+        tmp_path, capsys):
+    assert run_cli("simulate", "--horizon", "0.00025",
+                   "--output-dir", str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert "did not settle within 2% by t=0.000125s" in out
+    assert "settle_2pct=" not in out
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["stability", "--report", "{tmp}/missing/r.json"],
                  id="stability--report-in-missing-directory"),

@@ -219,6 +219,16 @@ def test_step_metrics_on_flat_zero_error_trajectory():
     assert m["ss_error"] == 0.0
 
 
+def test_unsettled_step_has_no_settling_time():
+    # the run ends 50% off target: neither its end (t_end + Ts) nor any
+    # other time is a settling time
+    t = np.linspace(0, 1, 101)
+    y = np.minimum(t, 0.5)
+    m = step_metrics(t, y, np.ones_like(t), np.zeros_like(t), t[1] - t[0])
+    assert np.isnan(m["settle_2pct_s"])
+    assert m["ss_error"] == pytest.approx(0.5)
+
+
 def test_step_metrics_values_are_plain_floats(ref_trio):
     traj = ref_trio["ifadrc"]["trajectory"]
     m = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
