@@ -131,7 +131,9 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
     The plant must be fresh (zero history) and share the config sample
     time; the observer order follows the plant.  `v_d` is the constant
     reference, a finite number; `d` is a DisturbanceSignal (None for no
-    disturbance).  Raises SimulationDiverged as soon as the output goes
+    disturbance).  A sinusoid at or above the Nyquist frequency pi/Ts, or a
+    step whose onset falls after the last sample time, raises ValueError
+    before any step.  Raises SimulationDiverged as soon as the output goes
     non-finite or beyond DIVERGENCE_LIMIT.
     """
     if abs(plant.Ts - cfg.Ts) > 1e-15:
@@ -144,10 +146,20 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
         raise ValueError(f"reference must be finite, got {v_d}")
     t = np.arange(n) * cfg.Ts
     vd = np.full(n, v_d)
-    if d is not None and not isinstance(d, DisturbanceSignal):
+    if d is None:
+        d = DisturbanceSignal()
+    if not isinstance(d, DisturbanceSignal):
         raise TypeError(f"d must be a DisturbanceSignal or None, "
                         f"got {type(d).__name__}")
-    darr = (d if d is not None else DisturbanceSignal()).render(t)
+    # disturbances the sampled loop cannot see fail before any step
+    if d.kind == "sinusoid" and abs(d.frequency) >= math.pi / cfg.Ts:
+        raise ValueError(f"disturbance frequency {d.frequency} rad/s is not "
+                         f"below the Nyquist limit pi/Ts = "
+                         f"{math.pi / cfg.Ts} rad/s")
+    if d.kind == "step" and d.onset > t[-1]:
+        raise ValueError(f"disturbance onset {d.onset} s is after the last "
+                         f"sample time {float(t[-1])} s")
+    darr = d.render(t)
     dview = memoryview(darr)
 
     obs = _observer(cfg, plant)

@@ -5,8 +5,9 @@ convolution with binomial weights, in two forms: the streaming GLOperator
 that the plant and observers step sample by sample, and gl_differintegral,
 which takes a whole signal at once through numpy's real FFT.  The streaming
 history sum is exact up to rounding.  Below NEAR_WINDOW samples it is one
-direct dot product over the whole history; from there on it sums only the
-newest SHORT_WINDOW - 1 lags directly and costs O(n log^2 n) over n samples.
+direct dot product over the whole history.  From there on it sums only the
+newest SHORT_WINDOW - 1 lags directly, `push` adds each older block to an
+FFT far field, `tail_sum` only reads, and n samples cost O(n log^2 n).
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class GLOperator:
     P = SHORT_WINDOW * 2**j.  Whenever the history length n is a multiple of
     P, the block x[n-P:n] is convolved with w[P:2P] by one real FFT of
     length 2P and added into a far-field accumulator at n .. n+2P-2, all of
-    which is read at step n or later.  Blocks are flushed lazily, from the
-    first call at NEAR_WINDOW samples on, and a block that feeds no step at
-    or past NEAR_WINDOW is skipped, so no FFT runs below NEAR_WINDOW samples.
+    which is read at step n or later.  `push` adds the blocks from
+    NEAR_WINDOW samples on (at NEAR_WINDOW, every earlier one that feeds a
+    step at or past it), so no FFT runs before then and `tail_sum` only reads.
     """
 
     # perfbench/tracing.py reads this; the history is never truncated
@@ -78,44 +79,16 @@ class GLOperator:
         # _wnear[-m:] lines up with the newest m samples of _hist in the sum
         self._wnear = _near_weights(self.order)
         self._wshort = self._wnear[1 - SHORT_WINDOW:]
-        self._hist = np.zeros(0)
+        self._hist = np.zeros(1024)
         self._far = np.zeros(0)
         self._size = 0
-        self._flushed = 0
-        self._cap = 0
-        self._grow(1024)
-
-    def _grow(self, capacity: int) -> None:
-        hist = np.zeros(capacity)
-        hist[: self._size] = self._hist[: self._size]
-        self._hist = hist
-        self._cap = capacity
-        if capacity > NEAR_WINDOW:
-            # the history stays below capacity, so a flushed block has
-            # P <= capacity/2, ends at n <= capacity - P and writes the
-            # far field up to n + 2P - 2 < 1.5 * capacity
-            far = np.zeros(capacity + capacity // 2)
-            far[: self._far.size] = self._far
-            self._far = far
+        # the length at which push grows the buffers or adds blocks: the
+        # capacity below NEAR_WINDOW, then every SHORT_WINDOW samples
+        self._next = self._hist.size
 
     @property
     def size(self) -> int:
         return self._size
-
-    def _flush(self, n: int) -> None:
-        """Add every block that ends at history length `n` and feeds a step
-        at or past NEAR_WINDOW to the far field."""
-        P = SHORT_WINDOW
-        while n % P == 0:
-            nfft = 2 * P
-            # the block feeds steps n .. n+2P-2
-            if n + nfft - 2 >= NEAR_WINDOW:
-                seg = gl_coefficients(self.order, nfft)[P:]
-                spec = np.fft.rfft(seg, nfft)
-                del seg  # frees the 2P weights before the next transform
-                spec *= np.fft.rfft(self._hist[n - P : n], nfft)
-                self._far[n : n + nfft - 1] += np.fft.irfft(spec, nfft)[:-1]
-            P *= 2
 
     def tail_sum(self) -> float:
         """sum_{k>=1} w_k x_{n-k} for the upcoming sample index n.
@@ -126,17 +99,39 @@ class GLOperator:
         n = self._size
         if n < NEAR_WINDOW:
             return float(self._wnear[NEAR_WINDOW - n:].dot(self._hist[:n]))
-        while self._flushed + SHORT_WINDOW <= n:
-            self._flushed += SHORT_WINDOW
-            self._flush(self._flushed)
         tail = float(self._wshort.dot(self._hist[n + 1 - SHORT_WINDOW : n]))
         return tail + self._far.item(n)
 
     def push(self, sample: float) -> None:
+        """Append `sample`: the only method that changes the operator."""
         self._hist[self._size] = sample
-        self._size += 1
-        if self._size == self._cap:
-            self._grow(2 * self._cap)
+        self._size = n = self._size + 1
+        if n != self._next:
+            return
+        if n == self._hist.size:
+            hist = np.zeros(2 * n)
+            hist[:n] = self._hist
+            self._hist = hist
+            if n >= NEAR_WINDOW:
+                # blocks end at m <= 2n - P, P <= n: all write below 3n
+                far = np.zeros(3 * n)
+                far[: self._far.size] = self._far
+                self._far = far
+        if n < NEAR_WINDOW:
+            self._next = 2 * n
+            return
+        self._next = n + SHORT_WINDOW
+        for m in range(SHORT_WINDOW if n == NEAR_WINDOW else n, n + 1,
+                       SHORT_WINDOW):
+            P = SHORT_WINDOW
+            while m % P == 0:
+                nfft = 2 * P
+                if m + nfft - 2 >= NEAR_WINDOW:  # it feeds steps m .. m+2P-2
+                    spec = np.fft.rfft(gl_coefficients(self.order, nfft)[P:],
+                                       nfft)
+                    spec *= np.fft.rfft(self._hist[m - P : m], nfft)
+                    self._far[m : m + nfft - 1] += np.fft.irfft(spec, nfft)[:-1]
+                P *= 2
 
     def apply(self, sample: float) -> float:
         """Push `sample` and return the differintegral at the new sample."""

@@ -127,6 +127,27 @@ def test_simulate_says_a_run_that_ends_outside_the_band_did_not_settle(
     assert "settle_2pct=" not in out
 
 
+@pytest.mark.parametrize("argv, limit", [
+    pytest.param(["--dist-kind", "sinusoid", "--dist-frequency", "50265.48"],
+                 "Nyquist limit pi/Ts", id="sinusoid-at-2pi-over-Ts"),
+    pytest.param(["--dist-kind", "sinusoid", "--dist-frequency", "1e9"],
+                 "Nyquist limit pi/Ts", id="sinusoid-at-1e9"),
+    pytest.param(["--dist-kind", "step", "--dist-onset", "0.02",
+                  "--horizon", "0.01"],
+                 "after the last sample time", id="step-onset-past-horizon"),
+])
+def test_disturbance_the_loop_cannot_sample_fails_before_writing(
+        tmp_path, capsys, argv, limit):
+    out = tmp_path / "out"
+    assert run_cli("simulate", "--dist-amplitude", "1", *argv,
+                   "--output-dir", str(out)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("fracadrc: error: disturbance ")
+    assert limit in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["stability", "--report", "{tmp}/missing/r.json"],
                  id="stability--report-in-missing-directory"),

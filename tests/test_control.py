@@ -2,6 +2,7 @@
 disturbance rejection, gain-scale runs, and variant reductions."""
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -184,6 +185,51 @@ def test_disturbance_must_be_a_signal():
                         d=np.zeros(80))
 
 
+NYQUIST = math.pi / REF["Ts"]
+
+
+@pytest.mark.parametrize("frequency", [NYQUIST, -NYQUIST, 2.0 * NYQUIST],
+                         ids=["pi/Ts", "-pi/Ts", "2pi/Ts"])
+def test_sinusoid_at_or_above_nyquist_fails_before_any_step(monkeypatch,
+                                                            frequency):
+    # at 2 pi/Ts every sample of the sinusoid is about zero
+    steps = []
+    monkeypatch.setattr(FracPlant, "step",
+                        lambda self, u, d=0.0: steps.append(d) or 0.0)
+    with pytest.raises(ValueError, match="Nyquist limit pi/Ts"):
+        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+                        d=DisturbanceSignal.sinusoid(1.0, frequency))
+    assert not steps
+
+
+def test_sinusoid_just_below_nyquist_runs():
+    below = math.nextafter(NYQUIST, 0.0)
+    traj = run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+                           d=DisturbanceSignal.sinusoid(1.0, below))
+    np.testing.assert_array_equal(traj.d, np.sin(below * traj.t))
+
+
+LAST_SAMPLE = 79 * REF["Ts"]  # a 10 ms run at 8 kHz: samples 0 .. 79
+
+
+def test_step_onset_at_the_last_sample_runs():
+    traj = run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+                           d=DisturbanceSignal.step(0.5, LAST_SAMPLE))
+    assert traj.t[-1] == LAST_SAMPLE
+    assert traj.d.tolist() == [0.0] * 79 + [0.5]
+
+
+def test_step_onset_after_the_last_sample_fails_before_any_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(FracPlant, "step",
+                        lambda self, u, d=0.0: steps.append(d) or 0.0)
+    onset = math.nextafter(LAST_SAMPLE, 1.0)
+    with pytest.raises(ValueError, match="after the last sample time"):
+        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+                        d=DisturbanceSignal.step(0.5, onset))
+    assert not steps
+
+
 def test_divergence_raises_with_step_index():
     with pytest.raises(SimulationDiverged) as exc:
         run_closed_loop(ref_config(horizon=0.5), ref_plant(b_o=-1.0))
@@ -298,6 +344,29 @@ def test_step_disturbance_is_rejected():
     after = traj.t >= 0.5
     assert np.max(np.abs(traj.y[after] - 1.0)) < 0.01
     assert abs(traj.y[-1] - 1.0) < 1e-6
+
+
+# sha256 of the y, z1, z2 and q_hat bytes (<f8, in that order) of a 2.05 s
+# run of each variant at the reference point: 16,400 samples, past
+# NEAR_WINDOW, its first far-field blocks and the growth at 16,384 samples
+LONG_RUN_SHA256 = {
+    "iadrc": "4970fb41c339c78f77839727ce26bb3312a7af924ad8a7d2b0f0409f16305117",
+    "fadrc": "9ed42948d9aef3a736d55c8c41001dcbbef41904935191929594c708079655cd",
+    "ifadrc": "32751e8683ce40ed5250ca20bbcf52ab887d0a0c63cdabddb8fbfcfac31b99f8",
+}
+
+
+def test_runs_past_the_near_window_keep_their_bits():
+    produced = {}
+    for variant in LONG_RUN_SHA256:
+        traj = run_closed_loop(ref_config(variant=variant, horizon=2.05),
+                               ref_plant())
+        assert traj.y.size == 16_400
+        digest = hashlib.sha256()
+        for column in (traj.y, traj.z1, traj.z2, traj.q_hat):
+            digest.update(column.astype("<f8").tobytes())
+        produced[variant] = digest.hexdigest()
+    assert produced == LONG_RUN_SHA256
 
 
 # ---------------------------------------------------------------------------

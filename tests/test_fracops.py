@@ -201,24 +201,37 @@ def test_tail_sum_across_the_short_window_switch(mu):
         op.push(float(x[n]))
 
 
-def test_first_tail_sum_after_pushes_catches_up():
-    # the far-field blocks of a history that was only pushed are flushed at
-    # the first tail_sum, and give what flushing at every step gives
+def _state(op):
+    """Every attribute of `op`, arrays as their bytes."""
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+            for k, v in vars(op).items()}
+
+
+def test_tail_sum_only_reads():
+    # push adds every far-field block, so an operator that was only pushed
+    # and one that also summed before every push hold the same state, and
+    # summing changes nothing
     n = NEAR_WINDOW + 3 * SHORT_WINDOW + 1
     rng = np.random.default_rng(6)
     x = rng.normal(size=n)
-    lazy = GLOperator(order=0.8, step=1e-3)
-    eager = GLOperator(order=0.8, step=1e-3)
-    for v in x:
-        lazy.push(float(v))
-        eager.tail_sum()
-        eager.push(float(v))
+    pushed = GLOperator(order=0.8, step=1e-3)
+    summed = GLOperator(order=0.8, step=1e-3)
+    for k, v in enumerate(x):
+        if k in (0, NEAR_WINDOW - 1, NEAR_WINDOW, NEAR_WINDOW + SHORT_WINDOW):
+            before = _state(summed)
+            summed.tail_sum()
+            assert _state(summed) == before
+        else:
+            summed.tail_sum()
+        pushed.push(float(v))
+        summed.push(float(v))
+    assert _state(pushed) == _state(summed)
+    assert pushed.tail_sum() == summed.tail_sum()
     plain, bound = _plain_tail(gl_coefficients(0.8, n + 1), x, n)
-    assert abs(lazy.tail_sum() - eager.tail_sum()) <= 1e-13 * bound
-    assert abs(lazy.tail_sum() - plain) <= 1e-13 * bound
+    assert abs(pushed.tail_sum() - plain) <= 1e-13 * bound
 
 
-def test_no_fft_below_near_window(monkeypatch):
+def test_ffts_run_in_the_push_that_reaches_near_window(monkeypatch):
     calls = []
     rfft = np.fft.rfft
 
@@ -228,11 +241,26 @@ def test_no_fft_below_near_window(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     op = GLOperator(order=0.8, step=1e-3)
-    for v in np.random.default_rng(7).normal(size=NEAR_WINDOW):
+    x = np.random.default_rng(7).normal(size=NEAR_WINDOW + SHORT_WINDOW)
+    for v in x[: NEAR_WINDOW - 1]:
         op.apply(float(v))
     assert not calls
     op.tail_sum()
-    assert calls
+    op.push(float(x[NEAR_WINDOW - 1]))
+    # the 9 of the 31 blocks ending at or below NEAR_WINDOW that feed a
+    # step at or past it: P = 512 .. 8192 ending at NEAR_WINDOW, then
+    # 4096 at 4096, 2048 at 6144, 1024 at 7168 and 512 at 7680; two real
+    # FFTs each
+    assert len(calls) == 2 * 9
+    calls.clear()
+    for v in x[NEAR_WINDOW:]:
+        op.tail_sum()
+        assert not calls
+        op.push(float(v))
+    # the push that reaches NEAR_WINDOW + SHORT_WINDOW adds its one block
+    assert len(calls) == 2
+    op.tail_sum()
+    assert len(calls) == 2
 
 
 def test_operator_history():
