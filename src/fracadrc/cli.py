@@ -161,7 +161,7 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
 
 def cmd_simulate(args, params: dict, cfg: AdrcConfig,
                  plant: FracPlant) -> int:
-    # each kind reads only its own fields
+    # a nonzero field that the kind does not read fails here, before any run
     dist = DisturbanceSignal(args.dist_kind, args.dist_amplitude,
                              args.dist_frequency, args.dist_onset)
     traj = run_closed_loop(cfg, plant, v_d=args.setpoint, d=dist)

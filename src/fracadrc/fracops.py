@@ -5,7 +5,9 @@ convolution with binomial weights, in two forms: the streaming GLOperator
 that the plant and observers step sample by sample, and gl_differintegral,
 which takes a whole signal at once through numpy's real FFT.  The streaming
 history sum is exact up to rounding.  Below NEAR_WINDOW samples it is one
-direct dot product over the whole history.  From there on it sums only the
+direct dot product over the whole history, its weights taken from a per-order
+table of read-only views (the same bits as slicing them per call; about
+1 MB per order, at most 16 orders cached).  From there on it sums only the
 newest SHORT_WINDOW - 1 lags directly, `push` adds each older block to an
 FFT far field, `tail_sum` only reads, and n samples cost O(n log^2 n).
 """
@@ -41,11 +43,12 @@ SHORT_WINDOW = 512
 
 
 @functools.lru_cache(maxsize=16)
-def _near_weights(order: float) -> np.ndarray:
-    """w_NEAR_WINDOW .. w_1, read-only, shared by all operators of `order`."""
+def _near_weights(order: float) -> tuple[np.ndarray, ...]:
+    """Entry n is w_n .. w_1 for n < NEAR_WINDOW: read-only views of one
+    array, shared by all operators of `order`."""
     w = gl_coefficients(order, NEAR_WINDOW + 1)[:0:-1].copy()
     w.flags.writeable = False
-    return w
+    return tuple(w[NEAR_WINDOW - n:] for n in range(NEAR_WINDOW))
 
 
 class GLOperator:
@@ -56,7 +59,9 @@ class GLOperator:
     The history sum is exact up to rounding and costs O(n log^2 n) over n
     samples (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
     1985).  Below NEAR_WINDOW samples `tail_sum` is one direct dot product
-    over the whole history, bit for bit.  From NEAR_WINDOW samples on, lags
+    over the whole history, bit for bit, with w_n .. w_1 read from entry n of
+    the order's table of weight views, built once and shared by every
+    operator of that order.  From NEAR_WINDOW samples on, lags
     1 .. SHORT_WINDOW-1 are one direct dot product per step, and each lag
     k >= SHORT_WINDOW lies in exactly one octave [P, 2P),
     P = SHORT_WINDOW * 2**j.  Whenever the history length n is a multiple of
@@ -76,9 +81,9 @@ class GLOperator:
         self.order = float(order)
         self.step = float(step)
         self._scale = self.step ** -self.order
-        # _wnear[-m:] lines up with the newest m samples of _hist in the sum
+        # _wnear[m] lines up with the newest m samples of _hist in the sum
         self._wnear = _near_weights(self.order)
-        self._wshort = self._wnear[1 - SHORT_WINDOW:]
+        self._wshort = self._wnear[SHORT_WINDOW - 1]
         self._hist = np.zeros(1024)
         self._far = np.zeros(0)
         self._size = 0
@@ -98,7 +103,7 @@ class GLOperator:
         """
         n = self._size
         if n < NEAR_WINDOW:
-            return float(self._wnear[NEAR_WINDOW - n:].dot(self._hist[:n]))
+            return float(self._wnear[n].dot(self._hist[:n]))
         tail = float(self._wshort.dot(self._hist[n + 1 - SHORT_WINDOW : n]))
         return tail + self._far.item(n)
 

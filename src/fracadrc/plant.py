@@ -52,9 +52,14 @@ class FracPlant:
 
 @dataclass
 class DisturbanceSignal:
-    """Additive plant-input disturbance d(t)."""
+    """Additive plant-input disturbance d(t).
 
-    KINDS = ("zero", "step", "sinusoid")
+    Each kind reads only its own fields, and any other field must be zero.
+    """
+
+    # each kind with the fields it reads
+    KINDS = {"zero": (), "step": ("amplitude", "onset"),
+             "sinusoid": ("amplitude", "frequency")}
 
     kind: str = "zero"
     amplitude: float = 0.0
@@ -65,9 +70,13 @@ class DisturbanceSignal:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         for name in ("amplitude", "frequency", "onset"):
-            if not math.isfinite(getattr(self, name)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
                 raise ValueError(f"disturbance {name} must be finite, "
-                                 f"got {getattr(self, name)}")
+                                 f"got {value}")
+            if value != 0.0 and name not in self.KINDS[self.kind]:
+                raise ValueError(f"disturbance kind {self.kind!r} does not "
+                                 f"read {name}, got {value}")
 
     @classmethod
     def step(cls, amplitude: float, onset: float = 0.0) -> "DisturbanceSignal":

@@ -135,6 +135,14 @@ def test_simulate_says_a_run_that_ends_outside_the_band_did_not_settle(
     pytest.param(["--dist-kind", "step", "--dist-onset", "0.02",
                   "--horizon", "0.01"],
                  "after the last sample time", id="step-onset-past-horizon"),
+    # a field the kind does not read: the run would never see it
+    pytest.param(["--dist-frequency", "100"],
+                 "kind 'zero' does not read amplitude", id="zero-amplitude"),
+    pytest.param(["--dist-kind", "step", "--dist-frequency", "5"],
+                 "kind 'step' does not read frequency", id="step-frequency"),
+    pytest.param(["--dist-kind", "sinusoid", "--dist-frequency", "50",
+                  "--dist-onset", "0.1"],
+                 "kind 'sinusoid' does not read onset", id="sinusoid-onset"),
 ])
 def test_disturbance_the_loop_cannot_sample_fails_before_writing(
         tmp_path, capsys, argv, limit):

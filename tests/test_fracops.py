@@ -15,7 +15,7 @@ from fracadrc import (
     gl_coefficients,
     gl_differintegral,
 )
-from fracadrc.fracops import NEAR_WINDOW, SHORT_WINDOW
+from fracadrc.fracops import NEAR_WINDOW, SHORT_WINDOW, _near_weights
 
 from helpers import oustaloup
 
@@ -150,16 +150,25 @@ def _max_rel_err(stream, batch):
 def test_tail_sum_is_plain_dot_below_near_window():
     # Below NEAR_WINDOW samples the history sum is the direct reversed-
     # weight dot product, bit for bit: short runs keep their exact bytes.
+    # Two orders pushed alternately must each read their own order's table.
     rng = np.random.default_rng(4)
     x = rng.normal(size=NEAR_WINDOW - 1)
-    w = gl_coefficients(0.8, NEAR_WINDOW)
-    op = GLOperator(order=0.8, step=1.0 / 8000.0)
+    orders = (0.8, 0.3)
+    ws = [gl_coefficients(mu, NEAR_WINDOW) for mu in orders]
+    ops = [GLOperator(order=mu, step=1.0 / 8000.0) for mu in orders]
     for n in range(NEAR_WINDOW):
-        if n % 97 == 0 or n > NEAR_WINDOW - 4:
+        for w, op in zip(ws, ops):
             plain = float(np.dot(w[n:0:-1], x[:n])) if n else 0.0
             assert op.tail_sum() == plain
-        if n < x.size:
-            op.push(float(x[n]))
+            if n < x.size:
+                op.push(float(x[n]))
+    # one read-only base per order, viewed once per history length
+    for mu in orders:
+        table = _near_weights(mu)
+        base = table[-1].base
+        assert len(table) == NEAR_WINDOW and isinstance(base, np.ndarray)
+        assert all(entry.base is base and not entry.flags.writeable
+                   for entry in table)
 
 
 @pytest.mark.parametrize("mu", [-0.5, 0.3, 0.8, 1.0])

@@ -175,6 +175,16 @@ def test_disturbance_rejects_unknown_kind():
         DisturbanceSignal(kind="ramp").render(np.linspace(0, 1, 3))
 
 
+@pytest.mark.parametrize("kind, name", [
+    ("zero", "amplitude"), ("zero", "frequency"), ("zero", "onset"),
+    ("step", "frequency"), ("sinusoid", "onset"),
+])
+def test_disturbance_rejects_a_field_its_kind_does_not_read(kind, name):
+    # the run would ignore the value, and the manifest would record it
+    with pytest.raises(ValueError, match=f"kind '{kind}' does not read {name}"):
+        DisturbanceSignal(kind=kind, **{name: 0.5})
+
+
 # ---------------------------------------------------------------------------
 # Lumped-disturbance reconstruction
 # ---------------------------------------------------------------------------
