@@ -175,12 +175,11 @@ _POW10 = np.array([10 ** i for i in range(18)], dtype=np.uint64)
 
 class _CellFormatter:
     """Formats blocks of at most `size` doubles as CSV cells, each followed
-    by its separator byte, into one uint8 array per block; the work arrays
+    by its separator byte, into one bytes object per block; the work arrays
     are allocated once and reused for every block."""
 
     def __init__(self, size: int):
-        # each cell's table constants, then work rows; the last step's mask
-        # of nonzero bytes reuses the table's memory
+        # each cell's table constants, then work rows
         self._table = np.empty((8, size), dtype=np.uint64)
         self._work = np.empty((8, size), dtype=np.uint64)
         self._index = np.empty((2, size), dtype=np.intp)
@@ -338,7 +337,7 @@ class _CellFormatter:
 
     def __call__(self, x, separators):
         """The cells of the doubles `x`, each followed by its byte of
-        `separators` (the top byte of a uint64), as one uint8 array."""
+        `separators` (the top byte of a uint64), as one bytes object."""
         n = x.size
         bits = x.view(np.uint64)
         self._shortest(bits)
@@ -428,11 +427,9 @@ class _CellFormatter:
         np.bitwise_or(d2, separators, out=out[:, 3])
         if not regular.all():
             self._special(out, x, separators)
-        # a word's low byte is its first, whatever the machine's byte order
-        view = out.astype("<u8", copy=False).view(np.uint8).reshape(-1)
-        nonzero = self._table.reshape(-1)[: 4 * n].view(bool)
-        np.not_equal(view, 0, out=nonzero)
-        return view[nonzero]
+        # a word's low byte is its first, whatever the machine's byte order;
+        # no cell has a NUL byte, so the zero bytes are the padding
+        return out.astype("<u8", copy=False).tobytes().translate(None, b"\0")
 
     @staticmethod
     def _eight_digits(x, t):
@@ -478,7 +475,7 @@ def float_cells(values) -> list[str]:
     if not x.size:
         return []
     separators = np.full(x.size, ord("\n") << 56, dtype=np.uint64)
-    text = _CellFormatter(x.size)(x, separators).tobytes().decode("ascii")
+    text = _CellFormatter(x.size)(x, separators).decode("ascii")
     return text.split("\n")[:-1]
 
 

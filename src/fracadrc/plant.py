@@ -54,7 +54,8 @@ class FracPlant:
 class DisturbanceSignal:
     """Additive plant-input disturbance d(t).
 
-    Each kind reads only its own fields, and any other field must be zero.
+    Each kind reads only its own fields, and any other field must be zero;
+    a sinusoid of nonzero amplitude needs a nonzero frequency.
     """
 
     # each kind with the fields it reads
@@ -77,6 +78,9 @@ class DisturbanceSignal:
             if value != 0.0 and name not in self.KINDS[self.kind]:
                 raise ValueError(f"disturbance kind {self.kind!r} does not "
                                  f"read {name}, got {value}")
+        if self.kind == "sinusoid" and self.amplitude and not self.frequency:
+            raise ValueError(f"disturbance frequency 0 rad/s samples the "
+                             f"sinusoid of amplitude {self.amplitude} as 0")
 
     @classmethod
     def step(cls, amplitude: float, onset: float = 0.0) -> "DisturbanceSignal":

@@ -14,6 +14,7 @@ import time
 from functools import partial
 
 import numpy as np
+import pytest
 
 from fracadrc import (
     AdrcVariant,
@@ -235,6 +236,7 @@ def test_criterion_6_gain_robustness():
 
 
 def test_criterion_7_kernel_oracles():
+    pytest.importorskip("scipy")
     t0 = time.perf_counter()
     # (a) half derivative of the ramp at t = 1
     Ts = 1.0 / 8000.0

@@ -132,6 +132,9 @@ def test_simulate_says_a_run_that_ends_outside_the_band_did_not_settle(
                  "Nyquist limit pi/Ts", id="sinusoid-at-2pi-over-Ts"),
     pytest.param(["--dist-kind", "sinusoid", "--dist-frequency", "1e9"],
                  "Nyquist limit pi/Ts", id="sinusoid-at-1e9"),
+    # sin(0 * t) is 0 at every sample: the run would never see it
+    pytest.param(["--dist-kind", "sinusoid"], "frequency 0 rad/s",
+                 id="sinusoid-at-0"),
     pytest.param(["--dist-kind", "step", "--dist-onset", "0.02",
                   "--horizon", "0.01"],
                  "after the last sample time", id="step-onset-past-horizon"),
@@ -246,9 +249,12 @@ def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     assert not (tmp_path / "out").exists()
 
 
-def test_stability_report_file(tmp_path):
+# degree 273 and 287: the Aberth root source and its sparse Newton polish
+@pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273), (0.87, 287)],
+                         ids=["degree-14", "degree-273", "degree-287"])
+def test_stability_report_file(tmp_path, mu, degree):
     report = tmp_path / "report.json"
-    assert run_cli("stability", "--report", str(report)) == 0
+    assert run_cli("stability", "--mu", str(mu), "--report", str(report)) == 0
     payload = json.loads(report.read_text())
     assert sorted(payload) == [
         "degree",
@@ -259,12 +265,15 @@ def test_stability_report_file(tmp_path):
         "stable",
     ]
     assert payload["stable"] is True
-    assert payload["degree"] == 14
-    assert payload["lambda"] == pytest.approx(0.2)
-    assert payload["margin"] == pytest.approx(0.3028, abs=1e-3)
-    assert payload["residual_max"] < 1e-8
-    assert len(payload["roots"]) == 14
+    assert payload["degree"] == degree
+    assert len(payload["roots"]) == degree
     assert sorted(payload["roots"][0]) == ["arg", "im", "re"]
+    if degree == 14:
+        assert payload["lambda"] == pytest.approx(0.2)
+        assert payload["margin"] == pytest.approx(0.3028, abs=1e-3)
+        assert payload["residual_max"] < 1e-8
+    else:
+        assert payload["residual_max"] <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -383,6 +383,7 @@ def test_negative_order_design_attenuates():
 
 
 def test_gl_and_rational_approximation_agree_on_sine():
+    pytest.importorskip("scipy")
     # Two independent realizations of d^0.6/dt^0.6 applied to sin(t):
     # the convolution kernel and the discretized pole-zero ladder agree
     # once both transients have washed out.

@@ -185,6 +185,13 @@ def test_disturbance_rejects_a_field_its_kind_does_not_read(kind, name):
         DisturbanceSignal(kind=kind, **{name: 0.5})
 
 
+def test_disturbance_rejects_a_sinusoid_of_zero_frequency():
+    # sin(0 * t) is 0 at every sample: the run would never see the amplitude
+    with pytest.raises(ValueError, match="frequency 0 rad/s"):
+        DisturbanceSignal.sinusoid(1.0, 0.0)
+    assert not DisturbanceSignal.sinusoid(0.0, 0.0).render(np.ones(3)).any()
+
+
 # ---------------------------------------------------------------------------
 # Lumped-disturbance reconstruction
 # ---------------------------------------------------------------------------
