@@ -178,6 +178,7 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray,
 def _stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
                     params: dict) -> tuple[StabilityReport, dict]:
     poly, report = loop_sector_test(cfg, plant)
+    outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "stability_report.json", report.to_dict())
     return report, {"path": "stability_report.json",
                     "kind": "stability_report",
@@ -212,7 +213,6 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         cfg.samples()  # a run needs two samples
     runs = {} if runs is None else runs
     outdir = Path(output_dir) / exp_id
-    outdir.mkdir(parents=True, exist_ok=True)
     files: list[dict] = []
     # artifact path -> its metrics, for metrics.csv
     data: dict[str, dict] = {}

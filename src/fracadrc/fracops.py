@@ -4,12 +4,13 @@ The order-mu differintegral d^mu/dt^mu as a discrete Grunwald-Letnikov (GL)
 convolution with binomial weights, in two forms: the streaming GLOperator
 that the plant and observers step sample by sample, and gl_differintegral,
 which takes a whole signal at once through numpy's real FFT.  The streaming
-history sum is exact up to rounding.  Below NEAR_WINDOW samples it is one
-direct dot product over the whole history, its weights taken from a per-order
-table of read-only views (the same bits as slicing them per call; about
-1 MB per order, at most 16 orders cached).  From there on it sums only the
-newest SHORT_WINDOW - 1 lags directly, `push` adds each older block to an
-FFT far field, `tail_sum` only reads, and n samples cost O(n log^2 n).
+history is allocated at NEAR_WINDOW (8192) samples and grows, together with
+its far field, only past them.  Below NEAR_WINDOW samples its sum is one
+direct dot product over the whole history, its weights read-only views from
+a per-order table (about 1 MB per order, at most 16 orders cached).  From
+there on it sums only the newest SHORT_WINDOW - 1 lags directly, `push`
+adds each older block to an FFT far field, `tail_sum` only reads, and
+n samples cost O(n log^2 n), exact up to rounding.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def _near_weights(order: float) -> tuple[np.ndarray, ...]:
 class GLOperator:
     """Streaming GL differintegrator of order `order` at fixed step `step`.
 
-    Keeps the full input history; negative orders integrate.
+    Keeps every input sample in one buffer of NEAR_WINDOW samples, grown
+    with the far field only past them; negative orders integrate.
 
     The history sum is exact up to rounding and costs O(n log^2 n) over n
     samples (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6(3),
@@ -84,12 +86,10 @@ class GLOperator:
         # _wnear[m] lines up with the newest m samples of _hist in the sum
         self._wnear = _near_weights(self.order)
         self._wshort = self._wnear[SHORT_WINDOW - 1]
-        self._hist = np.zeros(1024)
+        self._hist = np.zeros(NEAR_WINDOW)
         self._far = np.zeros(0)
         self._size = 0
-        # the length at which push grows the buffers or adds blocks: the
-        # capacity below NEAR_WINDOW, then every SHORT_WINDOW samples
-        self._next = self._hist.size
+        self._next = NEAR_WINDOW  # push grows buffers or adds blocks here
 
     @property
     def size(self) -> int:
@@ -113,19 +113,15 @@ class GLOperator:
         self._size = n = self._size + 1
         if n != self._next:
             return
+        self._next = n + SHORT_WINDOW
         if n == self._hist.size:
             hist = np.zeros(2 * n)
             hist[:n] = self._hist
             self._hist = hist
-            if n >= NEAR_WINDOW:
-                # blocks end at m <= 2n - P, P <= n: all write below 3n
-                far = np.zeros(3 * n)
-                far[: self._far.size] = self._far
-                self._far = far
-        if n < NEAR_WINDOW:
-            self._next = 2 * n
-            return
-        self._next = n + SHORT_WINDOW
+            # blocks end at m <= 2n - P, P <= n: all write below 3n
+            far = np.zeros(3 * n)
+            far[: self._far.size] = self._far
+            self._far = far
         for m in range(SHORT_WINDOW if n == NEAR_WINDOW else n, n + 1,
                        SHORT_WINDOW):
             P = SHORT_WINDOW

@@ -13,8 +13,8 @@ converges and its inclusion disks are pairwise disjoint.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,14 +41,14 @@ def rationalize_order(mu: float) -> tuple[int, int]:
     q <= MAX_DEN."""
     if not 0.0 < mu < 1.0:
         raise ValueError(f"mu must lie in (0, 1), got {mu}")
-    for q_den in range(1, MAX_DEN + 1):
-        p = round(mu * q_den)
-        if p < 1 or p >= q_den or math.gcd(p, q_den) != 1:
-            continue
-        if abs(p / q_den - mu) <= ORDER_TOL:
-            return p, q_den
-    raise ValueError(f"no rational p/q with q <= {MAX_DEN} matches "
-                     f"mu={mu} within {ORDER_TOL}")
+    # two such fractions lie at least 1/MAX_DEN**2 > 2 * ORDER_TOL apart,
+    # so the nearest one is the only candidate
+    nearest = Fraction(mu).limit_denominator(MAX_DEN)
+    p, q_den = nearest.numerator, nearest.denominator
+    if not 0 < p < q_den or abs(p / q_den - mu) > ORDER_TOL:
+        raise ValueError(f"no rational p/q with q <= {MAX_DEN} matches "
+                         f"mu={mu} within {ORDER_TOL}")
+    return p, q_den
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +200,7 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
     nonzero terms only; None unless it converges within ABERTH_MAX_SWEEPS
     sweeps and its inclusion disks are pairwise disjoint."""
     n = c.size - 1
-    if c[0] == 0.0 or not np.all(np.isfinite(c)):  # no logarithm to take
+    if c[0] == 0.0:  # no logarithm to take
         return None
     powers = np.flatnonzero(c)
     log_c = np.log(c[powers].astype(complex))
@@ -239,8 +239,9 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
     terms for Aberth roots, from every coefficient for eigenvalues),
     verified against a residual bound.
 
-    Raises ArithmeticError with the degree and the largest residual if
-    any residual exceeds the bound or is not finite.  Output is sorted by
+    Raises OverflowError with the degree if a coefficient is not finite,
+    and ArithmeticError with the degree and the largest residual if any
+    residual exceeds the bound or is not finite.  Output is sorted by
     (real, imag) so repeated calls are reproducible.
     """
     c = poly.coeffs
@@ -248,6 +249,9 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("polynomial must have degree >= 1")
     if c[-1] == 0.0:
         raise ValueError("leading coefficient must be nonzero")
+    if not np.all(np.isfinite(c)):
+        raise OverflowError(f"a coefficient of the degree-{poly.degree} "
+                            f"characteristic polynomial is not finite")
     roots = _aberth_roots(c) if poly.degree >= ABERTH_MIN_DEGREE else None
     certified = roots is not None
     if not certified:

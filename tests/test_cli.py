@@ -231,14 +231,22 @@ def test_failed_root_check_is_one_error_line(tmp_path):
 
 @pytest.mark.parametrize("argv, cause", [
     (("stability", "--omega_o", "1e200"), "omega_o"),
+    (("stability", "--K", "1e300", "--omega_o", "1e10"),
+     "characteristic polynomial"),
     (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
     (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
     (("bode", "--which", "ifio", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
     (("bode", "--omega-min", "1e-320"), "omega = 9.99989e-321 rad/s"),
-], ids=["stability", "mse", "bode", "bode-ifio", "bode-omega-min"])
+    (("reproduce", "custom", "--K", "1e200"), "degree-14"),
+    (("reproduce", "custom", "--K", "1e300", "--omega_o", "1e10"),
+     "characteristic polynomial"),
+], ids=["stability", "stability-coefficient", "mse", "bode", "bode-ifio",
+        "bode-omega-min", "custom-residual", "custom-coefficient"])
 def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     # in a subprocess, so that a numpy warning would reach stderr too; each
-    # value is finite, but a square or a power of it overflows
+    # value is finite, but a square or a power of it overflows, or (custom
+    # --K 1e200) the root solve fails its residual check; a custom gate
+    # that cannot be computed makes no directory
     proc = subprocess.run([sys.executable, "-m", "fracadrc.cli", *argv,
                            "--output-dir", "out"], cwd=tmp_path,
                           env=_src_env(), capture_output=True, text=True)

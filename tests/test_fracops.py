@@ -174,7 +174,7 @@ def test_tail_sum_is_plain_dot_below_near_window():
 @pytest.mark.parametrize("mu", [-0.5, 0.3, 0.8, 1.0])
 def test_long_streaming_matches_batch(mu):
     # 40,000 samples cross the near window, flush the far-field levels
-    # P = 8192, 16384 and 32768, and grow the buffers six times.
+    # P = 8192, 16384 and 32768, and grow the buffers three times.
     assert 40_000 > 4 * NEAR_WINDOW
     rng = np.random.default_rng(21)
     x = rng.normal(size=40_000)
@@ -250,10 +250,13 @@ def test_ffts_run_in_the_push_that_reaches_near_window(monkeypatch):
 
     monkeypatch.setattr(np.fft, "rfft", counted_rfft)
     op = GLOperator(order=0.8, step=1e-3)
+    hist = op._hist
     x = np.random.default_rng(7).normal(size=NEAR_WINDOW + SHORT_WINDOW)
     for v in x[: NEAR_WINDOW - 1]:
         op.apply(float(v))
     assert not calls
+    # the history allocated by the constructor holds every sample so far
+    assert op._hist is hist
     op.tail_sum()
     op.push(float(x[NEAR_WINDOW - 1]))
     # the 9 of the 31 blocks ending at or below NEAR_WINDOW that feed a

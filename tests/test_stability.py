@@ -51,8 +51,11 @@ def test_rationalize_validation():
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
             rationalize_order(bad)
-    with pytest.raises(ValueError, match="within"):
-        rationalize_order(0.1234567891)
+    # 1e-12 and 1 - 1e-12 lie within ORDER_TOL of 0/1 and 1/1, which are
+    # not proper orders
+    for bad in (0.1234567891, 1e-12, 1.0 - 1e-12):
+        with pytest.raises(ValueError, match="within"):
+            rationalize_order(bad)
 
 
 @given(p=st.integers(min_value=1, max_value=99), q=st.integers(min_value=2, max_value=100))
@@ -62,6 +65,11 @@ def test_rationalize_round_trips_exact_fractions(p, q):
     if p >= q:
         return
     assert rationalize_order(p / q) == (p, q)
+    for offset in (-0.9 * stability.ORDER_TOL, 0.9 * stability.ORDER_TOL):
+        assert rationalize_order(p / q + offset) == (p, q)
+    for offset in (-1.1 * stability.ORDER_TOL, 1.1 * stability.ORDER_TOL):
+        with pytest.raises(ValueError, match="within"):
+            rationalize_order(p / q + offset)
 
 
 # ---------------------------------------------------------------------------
