@@ -19,11 +19,11 @@ from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           UnstableConfigError, bode_files, gain_scale_entry,
-                          make_loop, mse_files, run_experiment, step_metrics,
-                          trajectory_files, write_manifest)
+                          make_loop, mse_files, run_experiment,
+                          stability_file, step_metrics, trajectory_files,
+                          write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
-from .stability import loop_sector_test
 
 PARAM_KEYS = (*DEFAULT_PARAMS, "variant")
 
@@ -92,7 +92,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bode", help="compensated-object Bode CSVs")
     _add_param_flags(p)
     _add_grid_flags(p, BODE_GRID)
-    p.add_argument("--which", choices=["io", "ifio", "both"], default="both")
     p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("mse", help="estimation-error closed-form curves")
@@ -103,8 +102,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("stability", help="sector test of the closed loop "
                                          "(exit 0 stable, 2 unstable)")
     _add_param_flags(p)
-    p.add_argument("--report", metavar="FILE",
-                   help="also write the JSON stability report here")
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("reproduce", help="run stored experiments")
@@ -115,18 +112,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_value(key: str, raw: str):
-    raw = raw.strip()
-    if key == "variant":
-        return raw.lower()
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"invalid value for '{key}': {raw!r}")
-
-
 def load_config_file(path) -> dict:
-    out = {}
+    out, set_on = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -135,13 +122,20 @@ def load_config_file(path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        at = f"{path}:{lineno}"
+        if not eq:
+            raise ValueError(f"{at}: expected 'key = value'")
         if key not in PARAM_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-        out[key] = _parse_value(key, value)
+            raise ValueError(f"{at}: unknown config key '{key}'")
+        if key in set_on:
+            raise ValueError(f"{at}: '{key}' is already set on line "
+                             f"{set_on[key]}")
+        set_on[key] = lineno
+        try:
+            out[key] = value.lower() if key == "variant" else float(value)
+        except ValueError:
+            raise ValueError(f"{at}: invalid value for '{key}': {value!r}")
     return out
 
 
@@ -233,10 +227,8 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
     outdir = Path(args.output_dir) / "bode"
-    tags = ("io", "ifio") if args.which == "both" else (args.which,)
-    files = bode_files(outdir, params, grid, tags)
-    write_manifest(outdir, {**params, "which": args.which,
-                            "omega_min": float(grid[0]),
+    files = bode_files(outdir, params, grid)
+    write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},
                    files, command="bode")
@@ -261,7 +253,9 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 
 def cmd_stability(args, params: dict, cfg: AdrcConfig,
                   plant: FracPlant) -> int:
-    _, report = loop_sector_test(cfg, plant)
+    outdir = Path(args.output_dir) / "stability"
+    report, entry = stability_file(outdir, cfg, plant, params)
+    write_manifest(outdir, params, [entry], command="stability")
     verdict = "stable" if report.stable else "unstable"
     if report.marginal:
         verdict += " (marginal)"
@@ -270,9 +264,7 @@ def cmd_stability(args, params: dict, cfg: AdrcConfig,
           f"(K={params['K']:g}, omega_o={params['omega_o']:g}, "
           f"mu={params['mu']:g}, a_o={params['a_o']:g}, "
           f"b={params['b']:g}, b_o={params['b_o']:g})")
-    if args.report:
-        write_json(args.report, report.to_dict())
-        print(f"wrote {args.report}")
+    print(f"wrote {outdir / 'stability_report.json'}")
     return 0 if report.stable else 2
 
 

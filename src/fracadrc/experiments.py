@@ -157,17 +157,16 @@ def mse_files(outdir: Path, data: dict, grid: np.ndarray,
     return files
 
 
-def bode_files(outdir: Path, params: dict, grid: np.ndarray,
-               tags=tuple(BODE_TRANSFERS)) -> list[dict]:
-    """Write bode_g_<tag>.csv for each compensated object in `tags`,
-    every curve computed before `outdir` is made; returns their manifest
-    entries."""
-    curves = [bode(partial(BODE_TRANSFERS[tag], params["a_o"], params["b_o"],
-                           params["b"], params["mu"], params["omega_o"]),
-                   grid) for tag in tags]
+def bode_files(outdir: Path, params: dict, grid: np.ndarray) -> list[dict]:
+    """Write bode_g_<tag>.csv for each compensated object of
+    BODE_TRANSFERS, every curve computed before `outdir` is made; returns
+    their manifest entries."""
+    curves = {tag: bode(partial(g, params["a_o"], params["b_o"], params["b"],
+                                params["mu"], params["omega_o"]), grid)
+              for tag, g in BODE_TRANSFERS.items()}
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for tag, (mag, phase) in zip(tags, curves):
+    for tag, (mag, phase) in curves.items():
         name = f"bode_g_{tag}.csv"
         write_bode_csv(outdir / name, grid, mag, phase)
         files.append({"path": name, "kind": "bode",
@@ -175,8 +174,11 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray,
     return files
 
 
-def _stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
-                    params: dict) -> tuple[StabilityReport, dict]:
+def stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
+                   params: dict) -> tuple[StabilityReport, dict]:
+    """Write <outdir>/stability_report.json, the sector test of the loop,
+    computed before `outdir` is made; returns the report and its manifest
+    entry."""
     poly, report = loop_sector_test(cfg, plant)
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "stability_report.json", report.to_dict())
@@ -235,7 +237,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         manifest_params = params
 
     elif exp_id == "fig10":
-        files.append(_stability_file(outdir, *make_loop(params), params)[1])
+        files.append(stability_file(outdir, *make_loop(params), params)[1])
         manifest_params = params
 
     elif exp_id == "fig11":
@@ -253,7 +255,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
 
     else:  # custom
         manifest_params = {**params, "variant": cfg.variant.value}
-        report, entry = _stability_file(outdir, cfg, plant, params)
+        report, entry = stability_file(outdir, cfg, plant, params)
         files.append(entry)
         if not report.stable:
             write_manifest(outdir, manifest_params, files, experiment=exp_id)

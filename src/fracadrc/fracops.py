@@ -28,6 +28,8 @@ def gl_coefficients(mu: float, count: int) -> np.ndarray:
     weight after w_0 is negative with strictly decreasing magnitude, and the
     partial sums decrease monotonically toward 0.
     """
+    if not math.isfinite(mu):
+        raise ValueError(f"order must be finite, got {mu}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     factors = np.empty(count)

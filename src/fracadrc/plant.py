@@ -78,6 +78,9 @@ class DisturbanceSignal:
             if value != 0.0 and name not in self.KINDS[self.kind]:
                 raise ValueError(f"disturbance kind {self.kind!r} does not "
                                  f"read {name}, got {value}")
+        if self.onset < 0.0:
+            raise ValueError(f"disturbance onset {self.onset} s is before "
+                             f"the first sample time 0 s")
         if self.kind == "sinusoid" and self.amplitude and not self.frequency:
             raise ValueError(f"disturbance frequency 0 rad/s samples the "
                              f"sinusoid of amplitude {self.amplitude} as 0")

@@ -68,14 +68,28 @@ def test_unknown_flag_fails(tmp_path, capsys, argv):
 
 def test_unknown_config_key_fails(tmp_path, capsys):
     cfg = tmp_path / "params.cfg"
+    out = tmp_path / "out"
     cfg.write_text("K = 300\nwibble = 7\n")
-    assert run_cli("stability", "--config", str(cfg)) == 1
+    assert run_cli("stability", "--config", str(cfg),
+                   "--output-dir", str(out)) == 1
     assert "wibble" in capsys.readouterr().err
     cfg.write_text("memory_len = 10\n")
     assert run_cli("simulate", "--config", str(cfg),
-                   "--output-dir", str(tmp_path / "out")) == 1
+                   "--output-dir", str(out)) == 1
     assert "memory_len" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # a repeated key, and a bad value, name their line
+    for text, message in [
+        ("K = 100\nmu = 0.8\nK = 300\n",
+         f"{cfg}:3: 'K' is already set on line 1"),
+        ("mu = 0.8\nK = 100 = 3\n",
+         f"{cfg}:2: invalid value for 'K': '100 = 3'"),
+    ]:
+        cfg.write_text(text)
+        assert run_cli("stability", "--config", str(cfg),
+                       "--output-dir", str(out)) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"fracadrc: error: {message}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
@@ -138,6 +152,9 @@ def test_simulate_says_a_run_that_ends_outside_the_band_did_not_settle(
     pytest.param(["--dist-kind", "step", "--dist-onset", "0.02",
                   "--horizon", "0.01"],
                  "after the last sample time", id="step-onset-past-horizon"),
+    pytest.param(["--dist-kind", "step", "--dist-onset", "-5",
+                  "--horizon", "0.01"], "before the first sample time",
+                 id="step-onset-before-the-first-sample"),
     # a field the kind does not read: the run would never see it
     pytest.param(["--dist-frequency", "100"],
                  "kind 'zero' does not read amplitude", id="zero-amplitude"),
@@ -160,8 +177,8 @@ def test_disturbance_the_loop_cannot_sample_fails_before_writing(
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(["stability", "--report", "{tmp}/missing/r.json"],
-                 id="stability--report-in-missing-directory"),
+    pytest.param(["stability", "--output-dir", "{tmp}/file"],
+                 id="stability--output-dir-is-a-file"),
     pytest.param(["simulate", "--horizon", "0.01", "--output-dir",
                   "{tmp}/file"], id="simulate--output-dir-is-a-file"),
 ])
@@ -196,11 +213,13 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     # File overrides defaults; explicit flags override the file.
     cfg = tmp_path / "params.cfg"
     cfg.write_text("# tuning\nK = 300\nmu = 0.85\n")
-    assert run_cli("stability", "--config", str(cfg)) == 0
-    out = capsys.readouterr().out
-    assert "degree=57" in out  # mu = 17/20 -> 17 + 2*20
-    assert "lambda=0.05" in out
-    assert run_cli("stability", "--config", str(cfg), "--mu", "0.8") == 0
+    out = str(tmp_path / "out")
+    assert run_cli("stability", "--config", str(cfg), "--output-dir", out) == 0
+    printed = capsys.readouterr().out
+    assert "degree=57" in printed  # mu = 17/20 -> 17 + 2*20
+    assert "lambda=0.05" in printed
+    assert run_cli("stability", "--config", str(cfg), "--mu", "0.8",
+                   "--output-dir", out) == 0
     assert "degree=14" in capsys.readouterr().out
 
 
@@ -209,11 +228,25 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def test_stability_verdict_exit_codes(capsys):
-    assert run_cli("stability") == 0
+def test_stability_verdict_exit_codes(tmp_path, capsys):
+    assert run_cli("stability", "--output-dir", str(tmp_path / "a")) == 0
     assert "stable" in capsys.readouterr().out
-    assert run_cli("stability", "--b_o", "-1") == 2
+    # an unstable verdict writes its report and manifest too
+    assert run_cli("stability", "--b_o", "-1",
+                   "--output-dir", str(tmp_path / "b")) == 2
     assert "unstable" in capsys.readouterr().out
+    assert sorted(p.name for p in (tmp_path / "b" / "stability").iterdir()) \
+        == ["manifest.json", "stability_report.json"]
+
+
+def test_stability_writes_the_report_of_reproduce_fig10(tmp_path):
+    # one writer: at the defaults both commands write the same bytes
+    assert run_cli("stability", "--output-dir", str(tmp_path)) == 0
+    assert run_cli("reproduce", "fig10", "--output-dir", str(tmp_path)) == 0
+    assert sorted(p.name for p in (tmp_path / "stability").iterdir()) == [
+        "manifest.json", "stability_report.json"]
+    assert ((tmp_path / "stability" / "stability_report.json").read_bytes()
+            == (tmp_path / "fig10" / "stability_report.json").read_bytes())
 
 
 def test_failed_root_check_is_one_error_line(tmp_path):
@@ -235,13 +268,12 @@ def test_failed_root_check_is_one_error_line(tmp_path):
      "characteristic polynomial"),
     (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
     (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
-    (("bode", "--which", "ifio", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
     (("bode", "--omega-min", "1e-320"), "omega = 9.99989e-321 rad/s"),
     (("reproduce", "custom", "--K", "1e200"), "degree-14"),
     (("reproduce", "custom", "--K", "1e300", "--omega_o", "1e10"),
      "characteristic polynomial"),
-], ids=["stability", "stability-coefficient", "mse", "bode", "bode-ifio",
-        "bode-omega-min", "custom-residual", "custom-coefficient"])
+], ids=["stability", "stability-coefficient", "mse", "bode", "bode-omega-min",
+        "custom-residual", "custom-coefficient"])
 def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     # in a subprocess, so that a numpy warning would reach stderr too; each
     # value is finite, but a square or a power of it overflows, or (custom
@@ -261,9 +293,16 @@ def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
 @pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273), (0.87, 287)],
                          ids=["degree-14", "degree-273", "degree-287"])
 def test_stability_report_file(tmp_path, mu, degree):
-    report = tmp_path / "report.json"
-    assert run_cli("stability", "--mu", str(mu), "--report", str(report)) == 0
-    payload = json.loads(report.read_text())
+    assert run_cli("stability", "--mu", str(mu),
+                   "--output-dir", str(tmp_path)) == 0
+    outdir = tmp_path / "stability"
+    manifest = json.loads((outdir / "manifest.json").read_text())
+    assert manifest["command"] == "stability"
+    [entry] = manifest["files"]
+    assert entry["path"] == "stability_report.json"
+    assert entry["kind"] == "stability_report"
+    assert {"p", "q_den"} <= set(entry["parameters"])
+    payload = json.loads((outdir / "stability_report.json").read_text())
     assert sorted(payload) == [
         "degree",
         "lambda",
@@ -474,17 +513,11 @@ def test_sweep_that_diverges_writes_nothing(tmp_path, capsys):
 
 
 def test_bode_writes_both_curves(tmp_path):
-    assert run_cli("bode", "--which", "both", "--output-dir", str(tmp_path)) == 0
+    assert run_cli("bode", "--output-dir", str(tmp_path)) == 0
     bdir = tmp_path / "bode"
     for name in ("bode_g_io.csv", "bode_g_ifio.csv"):
         header = (bdir / name).read_text().splitlines()[0]
         assert header == "omega_rad_s,mag_db,phase_deg"
-
-
-def test_bode_single_curve(tmp_path):
-    assert run_cli("bode", "--which", "io", "--output-dir", str(tmp_path)) == 0
-    names = sorted(p.name for p in (tmp_path / "bode").glob("*.csv"))
-    assert names == ["bode_g_io.csv"]
 
 
 def test_mse_writes_error_curves(tmp_path):

@@ -292,6 +292,18 @@ def test_operator_validates_inputs():
         gl_differintegral(np.ones(3), 0.5, -1.0)
 
 
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_non_finite_order_fails_before_any_weight_is_cached(order):
+    cached = _near_weights.cache_info().currsize
+    with pytest.raises(ValueError, match=f"order must be finite, got {order}"):
+        gl_coefficients(order, 3)
+    with pytest.raises(ValueError, match="order must be finite"):
+        GLOperator(order=order, step=0.1)
+    with pytest.raises(ValueError, match="order must be finite"):
+        gl_differintegral([1.0, 2.0], order, 0.1)
+    assert _near_weights.cache_info().currsize == cached
+
+
 def test_empty_input_gives_empty_output():
     assert gl_differintegral(np.array([]), 0.5, 0.1).size == 0
 

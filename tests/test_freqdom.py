@@ -197,6 +197,19 @@ def test_bode_raises_on_a_value_that_is_not_a_finite_nonzero_number(bad):
         bode(G, np.array([5.0, 10.0, 20.0]))
 
 
+@pytest.mark.parametrize("g, cause", [
+    (g_io, "complex exponentiation"),
+    (g_ifio, r"is \(nan\+nanj\) .* not a finite nonzero number"),
+], ids=["g_io", "g_ifio"])
+def test_bode_of_an_overflowing_compensated_object_names_the_frequency(
+        g, cause):
+    # omega_o = 1e200: each object's powers of omega_o overflow, and the
+    # first grid point names where
+    with pytest.raises(OverflowError, match="omega = 0.1 rad/s") as info:
+        bode(partial(g, 10.0, 1.0, 1.0, 0.6, 1e200), log_grid(0.1, 1e5, 60))
+    assert info.match(cause)
+
+
 @pytest.mark.parametrize("g", [g_io, g_ifio])
 def test_compensated_objects_have_a_pole_at_zero(g):
     with pytest.raises(ZeroDivisionError):

@@ -185,6 +185,14 @@ def test_disturbance_rejects_a_field_its_kind_does_not_read(kind, name):
         DisturbanceSignal(kind=kind, **{name: 0.5})
 
 
+def test_disturbance_rejects_a_step_before_the_first_sample():
+    # an onset before t = 0 runs as onset 0, but the manifest would record it
+    with pytest.raises(ValueError, match="onset -5.0 s is before the first"):
+        DisturbanceSignal.step(1.0, -5.0)
+    d = DisturbanceSignal.step(1.0, -0.0).render(np.array([0.0, 1.0]))
+    np.testing.assert_array_equal(d, [1.0, 1.0])
+
+
 def test_disturbance_rejects_a_sinusoid_of_zero_frequency():
     # sin(0 * t) is 0 at every sample: the run would never see the amplitude
     with pytest.raises(ValueError, match="frequency 0 rad/s"):
