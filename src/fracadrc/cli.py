@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Subcommands: simulate, sweep, bode, mse, stability, reproduce.  Parameters
-resolve in three layers: built-in defaults, then a flat `key = value`
-config file (--config), then explicit flags.  Exit codes: 0 success /
-stable verdict, 1 invalid arguments or a root solve that fails its
-residual check, 2 unstable verdict, 3 simulation divergence.
+Subcommands: simulate, sweep, bode, mse, stability, reproduce.  Each
+registers only the model flags its result reads, and its config file takes
+only their keys.  Parameters resolve in three layers: built-in defaults,
+then a flat `key = value` config file (--config), then explicit flags.
+Exit codes: 0 success / stable verdict, 1 invalid arguments or a root
+solve that fails its residual check, 2 unstable verdict, 3 simulation
+divergence.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
+from .stability import loop_sector_test
 
 PARAM_KEYS = (*DEFAULT_PARAMS, "variant")
+VARIANTS = [v.value for v in AdrcVariant]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,20 +41,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_param_flags(p: argparse.ArgumentParser) -> None:
+def _add_param_flags(p: argparse.ArgumentParser, keys=PARAM_KEYS) -> None:
+    # `keys`: the parameters the command's result depends on
     p.add_argument("--config", metavar="FILE",
-                   help="flat 'key = value' parameter file; flags override it")
-    p.add_argument("--a_o", type=float, help="plant pole coefficient")
-    p.add_argument("--b_o", type=float, help="true plant gain")
-    p.add_argument("--b", type=float, help="controller's nominal gain")
-    p.add_argument("--mu", type=float, help="fractional order in (0, 1)")
-    p.add_argument("--K", type=float, help="outer-loop proportional gain")
-    p.add_argument("--omega_o", type=float, help="observer bandwidth, rad/s")
-    p.add_argument("--Ts", type=float, help="sample time, seconds")
-    p.add_argument("--horizon", type=float, help="simulation length, seconds")
-    p.add_argument("--variant", choices=[v.value for v in AdrcVariant],
-                   help="controller structure "
-                        f"(default {AdrcConfig.variant.value})")
+                   help="flat 'key = value' file of these flags' keys; "
+                        "flags override it")
+    helps = {"a_o": "plant pole coefficient", "b_o": "true plant gain",
+             "b": "controller's nominal gain",
+             "mu": "fractional order in (0, 1)",
+             "K": "outer-loop proportional gain",
+             "omega_o": "observer bandwidth, rad/s",
+             "Ts": "sample time, seconds",
+             "horizon": "simulation length, seconds"}
+    for key in keys:
+        if key == "variant":
+            p.add_argument("--variant", choices=VARIANTS,
+                           help="controller structure "
+                                f"(default {AdrcConfig.variant.value})")
+        else:
+            p.add_argument(f"--{key}", type=float, help=helps[key])
     p.add_argument("--output-dir", default="results",
                    help="artifact root directory (default: results)")
 
@@ -90,18 +99,18 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bode", help="compensated-object Bode CSVs")
-    _add_param_flags(p)
+    _add_param_flags(p, ("a_o", "b_o", "b", "mu", "omega_o"))
     _add_grid_flags(p, BODE_GRID)
     p.set_defaults(func=cmd_bode)
 
     p = sub.add_parser("mse", help="estimation-error closed-form curves")
-    _add_param_flags(p)
+    _add_param_flags(p, ("a_o", "mu", "omega_o"))
     _add_grid_flags(p, MSE_GRID)
     p.set_defaults(func=cmd_mse)
 
     p = sub.add_parser("stability", help="sector test of the closed loop "
                                          "(exit 0 stable, 2 unstable)")
-    _add_param_flags(p)
+    _add_param_flags(p, ("a_o", "b_o", "b", "mu", "K", "omega_o"))
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("reproduce", help="run stored experiments")
@@ -112,7 +121,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def load_config_file(path) -> dict:
+def load_config_file(path, keys, command: str) -> dict:
     out, set_on = {}, {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -126,31 +135,35 @@ def load_config_file(path) -> dict:
         at = f"{path}:{lineno}"
         if not eq:
             raise ValueError(f"{at}: expected 'key = value'")
-        if key not in PARAM_KEYS:
-            raise ValueError(f"{at}: unknown config key '{key}'")
+        if key not in keys:
+            raise ValueError(f"{at}: {command} takes no config key '{key}'")
         if key in set_on:
             raise ValueError(f"{at}: '{key}' is already set on line "
                              f"{set_on[key]}")
         set_on[key] = lineno
         try:
-            out[key] = value.lower() if key == "variant" else float(value)
+            out[key] = (AdrcVariant(value.lower()).value if key == "variant"
+                        else float(value))
         except ValueError:
-            raise ValueError(f"{at}: invalid value for '{key}': {value!r}")
+            raise ValueError(f"{at}: invalid value for '{key}': {value!r}"
+                             + (f" (choose from {', '.join(VARIANTS)})"
+                                if key == "variant" else ""))
     return out
 
 
 def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
-    """Defaults, then the --config file, then the flags.  Returns the
-    parameters with the config and plant built from them; their
-    constructors are the only check on the values."""
-    params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value}
-    if getattr(args, "config", None):
-        params.update(load_config_file(args.config))
-    for key in PARAM_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            params[key] = value
-    return (params, *make_loop(params))
+    """Defaults, then the --config file, then the flags, for the keys of
+    the command's model flags.  Every given value is left on `args`.
+    Returns the command's parameters with the config and plant of the
+    full loop; their constructors are the only check on the values."""
+    keys = [key for key in PARAM_KEYS if hasattr(args, key)]
+    given = load_config_file(args.config, keys, args.command) \
+        if args.config else {}
+    given.update((key, getattr(args, key)) for key in keys
+                 if getattr(args, key) is not None)
+    vars(args).update(given)
+    params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value, **given}
+    return ({key: params[key] for key in keys}, *make_loop(params))
 
 
 def cmd_simulate(args, params: dict, cfg: AdrcConfig,
@@ -208,6 +221,9 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
         _check_file_names([name for name, _, _ in entries], "scales")
         meta = {**params, "scales": scales}
     elif args.param and args.values and not args.scales:
+        if getattr(args, args.param) is not None:
+            raise ValueError(f"'{args.param}' is given, but --param "
+                             f"{args.param} runs only --values")
         values = _parse_float_list(args.values, "values")
         names = [f"step_{args.param}_{value:g}.csv" for value in values]
         _check_file_names(names, "values")
@@ -237,9 +253,6 @@ def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 
 
 def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
-    if params["b"] != params["b_o"]:
-        raise ValueError("invalid value for 'b': closed-form estimation-error "
-                         "curves require matched gain b = b_o")
     grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
     outdir = Path(args.output_dir) / "mse"
     files = mse_files(outdir, {}, grid, [("mse.csv", params)])
@@ -254,7 +267,8 @@ def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
 def cmd_stability(args, params: dict, cfg: AdrcConfig,
                   plant: FracPlant) -> int:
     outdir = Path(args.output_dir) / "stability"
-    report, entry = stability_file(outdir, cfg, plant, params)
+    poly, report = loop_sector_test(cfg, plant)
+    entry = stability_file(outdir, poly, report, params)
     write_manifest(outdir, params, [entry], command="stability")
     verdict = "stable" if report.stable else "unstable"
     if report.marginal:

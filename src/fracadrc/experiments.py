@@ -25,7 +25,7 @@ from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
 from .plant import FracPlant
-from .stability import StabilityReport, loop_sector_test
+from .stability import CharPoly, StabilityReport, loop_sector_test
 
 # Reference bench parameters shared by the simulation experiments and the
 # CLI defaults: plant 1/(s**0.8 + 10) at 8 kHz, K = 150, omega_o = 400.
@@ -174,18 +174,15 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray) -> list[dict]:
     return files
 
 
-def stability_file(outdir: Path, cfg: AdrcConfig, plant: FracPlant,
-                   params: dict) -> tuple[StabilityReport, dict]:
-    """Write <outdir>/stability_report.json, the sector test of the loop,
-    computed before `outdir` is made; returns the report and its manifest
-    entry."""
-    poly, report = loop_sector_test(cfg, plant)
+def stability_file(outdir: Path, poly: CharPoly, report: StabilityReport,
+                   params: dict) -> dict:
+    """Write <outdir>/stability_report.json, the `report` of a loop's
+    sector test on its characteristic polynomial `poly` (as
+    `loop_sector_test` returns them); returns its manifest entry."""
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "stability_report.json", report.to_dict())
-    return report, {"path": "stability_report.json",
-                    "kind": "stability_report",
-                    "parameters": {**params, "p": poly.p,
-                                   "q_den": poly.q_den}}
+    return {"path": "stability_report.json", "kind": "stability_report",
+            "parameters": {**params, "p": poly.p, "q_den": poly.q_den}}
 
 
 def run_experiment(exp_id: str, output_dir: str | Path = "results",
@@ -237,7 +234,8 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         manifest_params = params
 
     elif exp_id == "fig10":
-        files.append(stability_file(outdir, *make_loop(params), params)[1])
+        files.append(stability_file(
+            outdir, *loop_sector_test(*make_loop(params)), params))
         manifest_params = params
 
     elif exp_id == "fig11":
@@ -255,13 +253,16 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
 
     else:  # custom
         manifest_params = {**params, "variant": cfg.variant.value}
-        report, entry = stability_file(outdir, cfg, plant, params)
-        files.append(entry)
+        poly, report = loop_sector_test(cfg, plant)
+        # a stable loop runs before any file is written, so that a run
+        # that diverges writes nothing
+        if report.stable:
+            files = trajectory_files(outdir, runs, data, [
+                ("trajectory.csv", manifest_params, manifest_params)])
+        files.insert(0, stability_file(outdir, poly, report, params))
         if not report.stable:
             write_manifest(outdir, manifest_params, files, experiment=exp_id)
             raise UnstableConfigError(report)
-        files += trajectory_files(outdir, runs, data, [
-            ("trajectory.csv", manifest_params, manifest_params)])
 
     manifest = write_manifest(outdir, manifest_params, files,
                               experiment=exp_id)
