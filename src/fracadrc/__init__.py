@@ -9,8 +9,8 @@ analysis, and closed-form disturbance-estimation error curves.
 
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged, Trajectory,
                       loop_symbol, run_closed_loop)
-from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, UnstableConfigError,
-                          run_experiment, step_metrics, summarize)
+from .experiments import (DEFAULT_PARAMS, EXPERIMENT_IDS, run_experiment,
+                          step_metrics, summarize)
 from .fracops import GLOperator, gl_coefficients, gl_differintegral
 from .freqdom import bode, g_ifio, g_io, log_grid, mse_ifio, mse_io
 from .observers import Feso, Ieso, Ifeso, bandwidth_gains
@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdrcConfig", "AdrcVariant", "SimulationDiverged", "Trajectory",
     "loop_symbol", "run_closed_loop",
-    "DEFAULT_PARAMS", "EXPERIMENT_IDS", "UnstableConfigError",
-    "run_experiment", "step_metrics", "summarize",
+    "DEFAULT_PARAMS", "EXPERIMENT_IDS", "run_experiment", "step_metrics",
+    "summarize",
     "GLOperator", "gl_coefficients", "gl_differintegral",
     "bode", "g_ifio", "g_io", "log_grid", "mse_ifio", "mse_io",
     "Feso", "Ieso", "Ifeso", "bandwidth_gains",

@@ -2,11 +2,12 @@
 
 Subcommands: simulate, sweep, bode, mse, stability, reproduce.  Each
 registers only the model flags its result reads, and its config file takes
-only their keys.  Parameters resolve in three layers: built-in defaults,
+only their keys; `reproduce` runs the paper's frozen experiments and takes
+neither.  Parameters resolve in three layers: built-in defaults,
 then a flat `key = value` config file (--config), then explicit flags.
 Exit codes: 0 success / stable verdict, 1 invalid arguments or a root
-solve that fails its residual check, 2 unstable verdict, 3 simulation
-divergence.
+solve that fails its residual check, 2 unstable verdict of `stability`,
+3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from .artifacts import write_json
 from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
                       run_closed_loop)
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
-                          UnstableConfigError, bode_files, gain_scale_entry,
-                          make_loop, mse_files, run_experiment,
-                          stability_file, step_metrics, trajectory_files,
-                          write_manifest)
+                          bode_files, gain_scale_entry, make_loop, mse_files,
+                          run_experiment, stability_file, step_metrics,
+                          trajectory_files, write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal, FracPlant
 from .stability import loop_sector_test
@@ -42,10 +42,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_param_flags(p: argparse.ArgumentParser, keys=PARAM_KEYS) -> None:
-    # `keys`: the parameters the command's result depends on
-    p.add_argument("--config", metavar="FILE",
-                   help="flat 'key = value' file of these flags' keys; "
-                        "flags override it")
+    # `keys`: the parameters the command's result depends on; a command
+    # that reads none takes no --config either
+    if keys:
+        p.add_argument("--config", metavar="FILE",
+                       help="flat 'key = value' file of these flags' keys; "
+                            "flags override it")
     helps = {"a_o": "plant pole coefficient", "b_o": "true plant gain",
              "b": "controller's nominal gain",
              "mu": "fractional order in (0, 1)",
@@ -113,10 +115,10 @@ def _build_parser() -> _Parser:
     _add_param_flags(p, ("a_o", "b_o", "b", "mu", "K", "omega_o"))
     p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("reproduce", help="run stored experiments")
-    _add_param_flags(p)
+    p = sub.add_parser("reproduce", help="run the paper's frozen experiments")
     p.add_argument("experiment",
-                   help=f"one of {', '.join(EXPERIMENT_IDS)}, custom, or all")
+                   help=f"one of {', '.join(EXPERIMENT_IDS)}, or all")
+    _add_param_flags(p, ())
     p.set_defaults(func=cmd_reproduce)
     return parser
 
@@ -158,7 +160,7 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
     full loop; their constructors are the only check on the values."""
     keys = [key for key in PARAM_KEYS if hasattr(args, key)]
     given = load_config_file(args.config, keys, args.command) \
-        if args.config else {}
+        if getattr(args, "config", None) else {}
     given.update((key, getattr(args, key)) for key in keys
                  if getattr(args, key) is not None)
     vars(args).update(given)
@@ -187,8 +189,12 @@ def cmd_simulate(args, params: dict, cfg: AdrcConfig,
     settle = m["settle_2pct_s"]
     settle = (f"did not settle within 2% by t={traj.t[-1]:.4g}s"
               if math.isnan(settle) else f"settle_2pct={settle:.4g}s")
+    rise = m["rise_10_90_s"]
+    rise = ("no 10-90% rise" if math.isnan(rise)
+            else f"rise_10_90={rise:.4g}s")
     print(f"simulate: {params['variant']} {settle} "
-          f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g}")
+          f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g} "
+          f"{rise} comp_resid_rms={m['comp_resid_rms']:.4g}")
     print(f"wrote {outdir / 'trajectory.csv'}")
     return 0
 
@@ -284,21 +290,12 @@ def cmd_stability(args, params: dict, cfg: AdrcConfig,
 
 def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
                   plant: FracPlant) -> int:
-    given = [f"--{key}" for key in ("config", *PARAM_KEYS)
-             if getattr(args, key) is not None]
-    if given and args.experiment in (*EXPERIMENT_IDS, "all"):
-        raise ValueError(f"reproduce {args.experiment} runs its own fixed "
-                         f"parameters; only 'reproduce custom' takes "
-                         f"{', '.join(given)}")
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
     manifests = []
     runs: dict = {}  # each distinct loop is simulated once per invocation
     for exp_id in ids:
-        # custom runs the resolved parameters
-        manifest = run_experiment(exp_id, args.output_dir,
-                                  params if exp_id == "custom" else None,
-                                  runs=runs)
+        manifest = run_experiment(exp_id, args.output_dir, runs=runs)
         manifests.append(manifest)
         print(f"{exp_id}: {len(manifest['files'])} artifacts under "
               f"{manifest['directory']}")
@@ -325,9 +322,6 @@ def main(argv=None) -> int:
     except SimulationDiverged as exc:
         print(f"fracadrc: {exc}", file=sys.stderr)
         return 3
-    except UnstableConfigError as exc:
-        print(f"fracadrc: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -67,15 +67,6 @@ EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 TRANSIENT_WINDOW = 0.2  # s, window for the compensation-residual RMS
 
 
-class UnstableConfigError(RuntimeError):
-    """Custom experiment rejected because the sector test failed."""
-
-    def __init__(self, report):
-        super().__init__(f"configuration is unstable "
-                         f"(sector margin {report.margin:.6g})")
-        self.report = report
-
-
 def make_loop(params: dict) -> tuple[AdrcConfig, FracPlant]:
     """Controller config and fresh plant for one parameter set.
 
@@ -185,34 +176,20 @@ def stability_file(outdir: Path, poly: CharPoly, report: StabilityReport,
             "parameters": {**params, "p": poly.p, "q_den": poly.q_den}}
 
 
-def run_experiment(exp_id: str, output_dir: str | Path = "results",
-                   overrides: dict | None = None, *,
+def run_experiment(exp_id: str, output_dir: str | Path = "results", *,
                    runs: dict | None = None) -> dict:
     """Execute one experiment; returns the manifest (also written to disk).
 
-    Only `custom` takes `overrides` (DEFAULT_PARAMS keys and `variant`);
-    every figure experiment runs its own frozen parameters.  `runs` is
-    shared by the experiments of one invocation so that each distinct loop
-    is simulated once (see `trajectory_files`): fig12-fig14 copy fig11's
-    CSV for their scale-1 loop.
+    Every experiment runs its own frozen parameters.  `runs` is shared by
+    the experiments of one invocation so that each distinct loop is
+    simulated once (see `trajectory_files`): fig12-fig14 copy fig11's CSV
+    for their scale-1 loop.
     """
-    if exp_id not in EXPERIMENT_IDS and exp_id != "custom":
+    if exp_id not in EXPERIMENT_IDS:
         raise ValueError(f"unknown experiment id {exp_id!r}")
-    # the inputs are checked before anything is made on disk
-    overrides = overrides or {}
-    unknown = set(overrides) - set(DEFAULT_PARAMS) - {"variant"}
-    if unknown:
-        raise ValueError(f"unknown override keys {sorted(unknown)}")
-    if overrides and exp_id != "custom":
-        raise ValueError(f"experiment {exp_id} runs frozen parameters; "
-                         f"only custom takes overrides")
-    params = {**DEFAULT_PARAMS, **overrides}
-    if exp_id == "custom":
-        cfg, plant = make_loop(params)
-        cfg.samples()  # a run needs two samples
+    params = DEFAULT_PARAMS
     runs = {} if runs is None else runs
     outdir = Path(output_dir) / exp_id
-    files: list[dict] = []
     # artifact path -> its metrics, for metrics.csv
     data: dict[str, dict] = {}
 
@@ -234,8 +211,8 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
         manifest_params = params
 
     elif exp_id == "fig10":
-        files.append(stability_file(
-            outdir, *loop_sector_test(*make_loop(params)), params))
+        files = [stability_file(
+            outdir, *loop_sector_test(*make_loop(params)), params)]
         manifest_params = params
 
     elif exp_id == "fig11":
@@ -245,24 +222,11 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results",
             for point in points])
         manifest_params = params
 
-    elif exp_id in LOOP_GAIN_VARIANTS:
+    else:  # fig12-fig14
         point = {**params, "variant": LOOP_GAIN_VARIANTS[exp_id].value}
         files = trajectory_files(outdir, runs, data, [
             gain_scale_entry(point, scale) for scale in LOOP_GAIN_SCALES])
         manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
-
-    else:  # custom
-        manifest_params = {**params, "variant": cfg.variant.value}
-        poly, report = loop_sector_test(cfg, plant)
-        # a stable loop runs before any file is written, so that a run
-        # that diverges writes nothing
-        if report.stable:
-            files = trajectory_files(outdir, runs, data, [
-                ("trajectory.csv", manifest_params, manifest_params)])
-        files.insert(0, stability_file(outdir, poly, report, params))
-        if not report.stable:
-            write_manifest(outdir, manifest_params, files, experiment=exp_id)
-            raise UnstableConfigError(report)
 
     manifest = write_manifest(outdir, manifest_params, files,
                               experiment=exp_id)

@@ -19,7 +19,8 @@ from .artifacts import write_csv
 
 def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
              points_per_decade: int = 60) -> np.ndarray:
-    """Log-spaced grid, `points_per_decade` per decade, endpoints included."""
+    """Log-spaced grid, `points_per_decade` per decade, at least two
+    points; its first and last are exactly `omega_min` and `omega_max`."""
     if not (math.isfinite(omega_min) and math.isfinite(omega_max)):
         raise ValueError(f"omega_min and omega_max must be finite, "
                          f"got {omega_min}, {omega_max}")
@@ -28,8 +29,11 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
     decades = math.log10(omega_max) - math.log10(omega_min)
-    n = int(round(decades * points_per_decade)) + 1
-    return np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    n = max(2, int(round(decades * points_per_decade)) + 1)
+    grid = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
+    # 10 ** log10(x) can miss x by a rounding step
+    grid[0], grid[-1] = omega_min, omega_max
+    return grid
 
 
 def g_io(a_o: float, b_o: float, b: float, mu: float, omega_o: float,

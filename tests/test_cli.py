@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracadrc import Trajectory, cli, experiments, run_closed_loop
+from fracadrc import Trajectory, cli, experiments, fracops, run_closed_loop
 from fracadrc.cli import main
 
 from helpers import ref_config, ref_plant
@@ -58,7 +58,7 @@ def test_non_numeric_flag_fails():
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--memory-len", "10"],
-    ["reproduce", "custom", "--memory-len", "10"],
+    ["reproduce", "fig4", "--memory-len", "10"],
     # a model flag is registered only where the result reads it
     ["mse", "--b", "2"],
     ["stability", "--variant", "iadrc"],
@@ -107,7 +107,7 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["simulate"], ["sweep", "--scales", "1"], ["bode"], ["mse"],
-    ["stability"], ["reproduce", "fig4"],
+    ["stability"],
 ])
 def test_config_variant_is_checked_for_every_command(tmp_path, capsys,
                                                      command):
@@ -134,7 +134,7 @@ def _model_flags() -> list[tuple[str, str]]:
 
 
 FLAG_RUNS = {"simulate": [], "sweep": ["--scales", "1"], "bode": [],
-             "mse": [], "stability": [], "reproduce": ["custom"]}
+             "mse": [], "stability": []}
 PERTURBED = {"a_o": "12", "b_o": "1.2", "b": "1.2", "mu": "0.9", "K": "200",
              "omega_o": "500", "Ts": "0.00025", "horizon": "0.02",
              "variant": "iadrc"}
@@ -248,7 +248,6 @@ def test_unwritable_output_fails_with_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", [
     pytest.param(["simulate"], id="simulate"),
-    pytest.param(["reproduce", "custom"], id="reproduce-custom"),
     pytest.param(["sweep", "--scales", "1"], id="sweep--scales"),
     pytest.param(["sweep", "--param", "K", "--values", "100"],
                  id="sweep--param"),
@@ -324,16 +323,10 @@ def test_failed_root_check_is_one_error_line(tmp_path):
     (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
     (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
     (("bode", "--omega-min", "1e-320"), "omega = 9.99989e-321 rad/s"),
-    (("reproduce", "custom", "--K", "1e200"), "degree-14"),
-    (("reproduce", "custom", "--K", "1e300", "--omega_o", "1e10"),
-     "characteristic polynomial"),
-], ids=["stability", "stability-coefficient", "mse", "bode", "bode-omega-min",
-        "custom-residual", "custom-coefficient"])
+], ids=["stability", "stability-coefficient", "mse", "bode", "bode-omega-min"])
 def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     # in a subprocess, so that a numpy warning would reach stderr too; each
-    # value is finite, but a square or a power of it overflows, or (custom
-    # --K 1e200) the root solve fails its residual check; a custom gate
-    # that cannot be computed makes no directory
+    # value is finite, but a square or a power of it overflows
     proc = subprocess.run([sys.executable, "-m", "fracadrc.cli", *argv,
                            "--output-dir", "out"], cwd=tmp_path,
                           env=_src_env(), capture_output=True, text=True)
@@ -515,6 +508,20 @@ def test_sweep_over_parameter_grid(tmp_path):
     assert names == ["step_K_100.csv", "step_K_150.csv"]
 
 
+def test_sweep_over_orders_writes_each_orders_solo_bytes(tmp_path):
+    # the three orders share one process and its per-order weight tables;
+    # each solo run starts from an empty table cache
+    assert run_cli("sweep", "--param", "mu", "--values", "0.7,0.8,0.9",
+                   "--horizon", "0.05", "--output-dir", str(tmp_path)) == 0
+    for mu in ("0.7", "0.8", "0.9"):
+        fracops._near_weights.cache_clear()
+        solo = tmp_path / f"solo-{mu}"
+        assert run_cli("simulate", "--mu", mu, "--horizon", "0.05",
+                       "--output-dir", str(solo)) == 0
+        assert ((tmp_path / "sweep" / f"step_mu_{mu}.csv").read_bytes()
+                == (solo / "simulate" / "trajectory.csv").read_bytes())
+
+
 def test_sweep_requires_a_mode(tmp_path, capsys):
     assert run_cli("sweep", "--output-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
@@ -598,6 +605,17 @@ def test_mse_writes_error_curves(tmp_path):
     data = np.loadtxt(lines[1:], delimiter=",")
     assert np.all(data[:, 1] >= 0.0)
     assert np.all(data[:, 2] >= 0.0)
+
+
+def test_mse_grid_ends_at_omega_max(tmp_path):
+    # a span shorter than one grid step keeps both of its bounds
+    assert run_cli("mse", "--omega-min", "1", "--omega-max", "2",
+                   "--points-per-decade", "1", "--output-dir",
+                   str(tmp_path)) == 0
+    lines = (tmp_path / "mse" / "mse.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1.0", "2.0"]
+    manifest = json.loads((tmp_path / "mse" / "manifest.json").read_text())
+    assert manifest["parameters"]["omega_max"] == 2.0
 
 
 def test_mse_takes_a_span_wider_than_a_float_ratio(tmp_path):
@@ -717,27 +735,6 @@ def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
                 == (reproduce_all_root / "fig12" / name).read_bytes())
 
 
-def test_reproduce_unstable_custom_exit_code(tmp_path, capsys):
-    code = run_cli(
-        "reproduce", "custom", "--b_o", "-1", "--output-dir", str(tmp_path)
-    )
-    assert code == 2
-    assert "unstable" in capsys.readouterr().err
-    report = tmp_path / "custom" / "stability_report.json"
-    assert report.is_file()
-    assert not (tmp_path / "custom" / "metrics.csv").exists()
-
-
-def test_reproduce_custom_that_diverges_writes_nothing(tmp_path, capsys):
-    # the sector test passes this loop, but its run diverges: the run comes
-    # before the report, so neither is written
-    out = tmp_path / "out"
-    assert run_cli("reproduce", "custom", "--variant", "fadrc", "--mu", "0.6",
-                   "--output-dir", str(out)) == 3
-    assert "simulation diverged" in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("experiment, flags", [
     ("fig11", ["--K", "200", "--horizon", "0.1"]),
     ("fig5", ["--variant", "iadrc"]),
@@ -746,7 +743,8 @@ def test_reproduce_custom_that_diverges_writes_nothing(tmp_path, capsys):
 ])
 def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
                                                          experiment, flags):
-    # only custom runs the resolved parameters; the figures are fixed
+    # every experiment runs its frozen parameters: reproduce has no model
+    # flag and no --config
     if flags == ["--config"]:
         cfg = tmp_path / "params.cfg"
         cfg.write_text("K = 200\n")
@@ -760,10 +758,14 @@ def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
 
 
 def test_reproduce_rejects_unknown_id(tmp_path, capsys):
-    assert run_cli("reproduce", "fig99", "--output-dir", str(tmp_path)) == 1
+    # there is no custom experiment: stability, then simulate, write its
+    # report and its trajectory
+    for exp_id in ("fig99", "custom"):
+        assert run_cli("reproduce", exp_id, "--output-dir", str(tmp_path)) == 1
+        assert f"unknown experiment id '{exp_id}'" in capsys.readouterr().err
     assert run_cli("reproduce", "fig99", "--K", "200",
                    "--output-dir", str(tmp_path)) == 1
-    assert "unknown experiment id 'fig99'" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

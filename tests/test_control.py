@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracadrc import (
     AdrcConfig,
@@ -455,11 +457,39 @@ def test_smallest_stable_sampling_rate(variant, mu):
 @pytest.mark.parametrize("variant", ["iadrc", "fadrc", "ifadrc"])
 def test_simulator_is_its_symbol(variant, d):
     # The symbol's rows, inverted on a contour, give every column of the
-    # run; measured within 2.3e-13 of each column's max_abs.  A q_hat the
-    # observer holds at zero comes back as rounding noise, held to y's size.
+    # run; measured within 2.3e-13 of each column's max_abs.
     cfg = ref_config(variant=variant)
     traj = run_closed_loop(cfg, ref_plant(), v_d=1.0, d=d)
-    oracle = symbol_response(cfg, ref_plant(), v_d=1.0, d=d)
+    _assert_is_symbol(traj, symbol_response(cfg, ref_plant(), v_d=1.0, d=d))
+
+
+@settings(max_examples=25)
+@given(variant=st.sampled_from(AdrcVariant),
+       mu=st.floats(0.5, 0.95), K=st.floats(50.0, 300.0),
+       omega_o=st.floats(100.0, 2000.0), a_o=st.floats(0.0, 20.0),
+       b_o=st.floats(0.5, 2.0), fs=st.sampled_from([4e3, 8e3, 16e3, 32e3]),
+       amplitude=st.floats(-2.0, 2.0), onset=st.floats(0.0, 1.0))
+def test_random_loops_are_their_symbol(variant, mu, K, omega_o, a_o, b_o, fs,
+                                       amplitude, onset):
+    # every loop that does not diverge within 0.1 s matches its symbol's
+    # response; `onset` is the step's time as a fraction of the last sample
+    cfg = ref_config(variant=variant, K=K, omega_o=omega_o, Ts=1.0 / fs,
+                     horizon=0.1)
+    plant = {"a_o": a_o, "b_o": b_o, "mu": mu, "Ts": cfg.Ts}
+    d = DisturbanceSignal.step(amplitude,
+                               onset=onset * (cfg.samples() - 1) * cfg.Ts)
+    try:
+        traj = run_closed_loop(cfg, ref_plant(**plant), v_d=1.0, d=d)
+    except SimulationDiverged:
+        return
+    _assert_is_symbol(traj, symbol_response(cfg, ref_plant(**plant), v_d=1.0,
+                                            d=d))
+
+
+def _assert_is_symbol(traj: Trajectory, oracle: dict) -> None:
+    """Each column of `oracle` matches `traj`'s within 1e-11 of that
+    column's max_abs.  A q_hat the observer holds at zero comes back as
+    rounding noise, held to y's size."""
     for name, column in oracle.items():
         simulated = getattr(traj, name)
         scale = np.max(np.abs(simulated)) or np.max(np.abs(traj.y))

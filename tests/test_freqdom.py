@@ -162,6 +162,13 @@ def test_log_grid_spans_wider_than_a_float_ratio():
     assert grid[-1] == 1e5
 
 
+def test_log_grid_ends_exactly_at_its_bounds():
+    # less than one step per span still gives both bounds, and the last
+    # point is omega_max itself, not 10 ** log10(omega_max)
+    assert log_grid(1.0, 2.0, 1).tolist() == [1.0, 2.0]
+    assert log_grid(1.0, 50.0, 1)[-1] == 50.0
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(10.0, 1.0)
