@@ -5,9 +5,11 @@ registers only the model flags its result reads, and its config file takes
 only their keys; `reproduce` runs the paper's frozen experiments and takes
 neither.  Parameters resolve in three layers: built-in defaults,
 then a flat `key = value` config file (--config), then explicit flags.
-Exit codes: 0 success / stable verdict, 1 invalid arguments or a root
-solve that fails its residual check, 2 unstable verdict of `stability`,
-3 simulation divergence.
+Each command takes only the parsed `args`, resolves its own parameters
+and hands them to one of the `experiments` writers.  Exit codes: 0
+success / stable verdict, 1 invalid arguments or a root solve that fails
+its residual check, 2 unstable verdict of `stability`, 3 simulation
+divergence.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ import sys
 from pathlib import Path
 
 from .artifacts import write_json
-from .control import (AdrcConfig, AdrcVariant, SimulationDiverged,
-                      run_closed_loop)
+from .control import AdrcConfig, AdrcVariant, SimulationDiverged
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
                           bode_files, gain_scale_entry, make_loop, mse_files,
-                          run_experiment, stability_file, step_metrics,
-                          trajectory_files, write_manifest)
+                          run_experiment, stability_file, trajectory_files,
+                          write_manifest)
 from .freqdom import log_grid
-from .plant import DisturbanceSignal, FracPlant
-from .stability import loop_sector_test
+from .plant import DisturbanceSignal
 
 PARAM_KEYS = (*DEFAULT_PARAMS, "variant")
 VARIANTS = [v.value for v in AdrcVariant]
@@ -103,12 +103,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bode", help="compensated-object Bode CSVs")
     _add_param_flags(p, ("a_o", "b_o", "b", "mu", "omega_o"))
     _add_grid_flags(p, BODE_GRID)
-    p.set_defaults(func=cmd_bode)
+    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("mse", help="estimation-error closed-form curves")
     _add_param_flags(p, ("a_o", "mu", "omega_o"))
     _add_grid_flags(p, MSE_GRID)
-    p.set_defaults(func=cmd_mse)
+    p.set_defaults(func=cmd_curves)
 
     p = sub.add_parser("stability", help="sector test of the closed loop "
                                          "(exit 0 stable, 2 unstable)")
@@ -153,11 +153,11 @@ def load_config_file(path, keys, command: str) -> dict:
     return out
 
 
-def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
+def resolve_params(args) -> tuple[dict, AdrcConfig]:
     """Defaults, then the --config file, then the flags, for the keys of
     the command's model flags.  Every given value is left on `args`.
-    Returns the command's parameters with the config and plant of the
-    full loop; their constructors are the only check on the values."""
+    Returns the command's parameters with the config of the full loop;
+    building that loop through `make_loop` is the only check on them."""
     keys = [key for key in PARAM_KEYS if hasattr(args, key)]
     given = load_config_file(args.config, keys, args.command) \
         if getattr(args, "config", None) else {}
@@ -165,33 +165,25 @@ def resolve_params(args) -> tuple[dict, AdrcConfig, FracPlant]:
                  if getattr(args, key) is not None)
     vars(args).update(given)
     params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value, **given}
-    return ({key: params[key] for key in keys}, *make_loop(params))
+    return {key: params[key] for key in keys}, make_loop(params)[0]
 
 
-def cmd_simulate(args, params: dict, cfg: AdrcConfig,
-                 plant: FracPlant) -> int:
-    # a nonzero field that the kind does not read fails here, before any run
-    dist = DisturbanceSignal(args.dist_kind, args.dist_amplitude,
-                             args.dist_frequency, args.dist_onset)
-    traj = run_closed_loop(cfg, plant, v_d=args.setpoint, d=dist)
+def cmd_simulate(args) -> int:
+    params, cfg = resolve_params(args)
+    point = {**params, **{key: value for key, value in vars(args).items()
+                          if key == "setpoint" or key.startswith("dist_")}}
     outdir = Path(args.output_dir) / "simulate"
-    outdir.mkdir(parents=True, exist_ok=True)
-    meta = {**params, "setpoint": args.setpoint,
-            "dist_kind": args.dist_kind,
-            "dist_amplitude": args.dist_amplitude,
-            "dist_frequency": args.dist_frequency,
-            "dist_onset": args.dist_onset}
-    traj.to_csv(outdir / "trajectory.csv")
-    write_manifest(outdir, meta, [{"path": "trajectory.csv",
-                                   "kind": "trajectory", "parameters": meta}],
-                   command="simulate")
-    m = step_metrics(traj.t, traj.y, traj.v_d, traj.u0, traj.Ts)
-    settle = m["settle_2pct_s"]
-    settle = (f"did not settle within 2% by t={traj.t[-1]:.4g}s"
-              if math.isnan(settle) else f"settle_2pct={settle:.4g}s")
-    rise = m["rise_10_90_s"]
-    rise = ("no 10-90% rise" if math.isnan(rise)
-            else f"rise_10_90={rise:.4g}s")
+    data: dict = {}
+    files = trajectory_files(outdir, {}, data,
+                             [("trajectory.csv", point, point)])
+    write_manifest(outdir, point, files, command="simulate")
+    m = data["trajectory.csv"]  # the row metrics.csv would hold
+    t_end = (cfg.samples() - 1) * cfg.Ts
+    settle = (f"did not settle within 2% by t={t_end:.4g}s"
+              if math.isnan(m["settle_2pct_s"])
+              else f"settle_2pct={m['settle_2pct_s']:.4g}s")
+    rise = ("no 10-90% rise" if math.isnan(m["rise_10_90_s"])
+            else f"rise_10_90={m['rise_10_90_s']:.4g}s")
     print(f"simulate: {params['variant']} {settle} "
           f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g} "
           f"{rise} comp_resid_rms={m['comp_resid_rms']:.4g}")
@@ -209,36 +201,31 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
     return values
 
 
-def _check_file_names(names: list[str], flag: str) -> None:
-    """`names` has one file per value of --flag; values that would share a
-    file fail."""
-    clashes = sorted({n for n in names if names.count(n) > 1})
-    if clashes:
-        raise ValueError(f"--{flag}: more than one value would write "
-                         f"{', '.join(clashes)}")
-
-
-def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
+def cmd_sweep(args) -> int:
+    params, _ = resolve_params(args)
     if args.scales and not (args.param or args.values):
         scales = _parse_float_list(args.scales, "scales")
         if any(s <= 0.0 for s in scales):
             raise ValueError(f"scales must be positive, got {scales}")
         entries = [gain_scale_entry(params, scale) for scale in scales]
-        _check_file_names([name for name, _, _ in entries], "scales")
         meta = {**params, "scales": scales}
     elif args.param and args.values and not args.scales:
         if getattr(args, args.param) is not None:
             raise ValueError(f"'{args.param}' is given, but --param "
                              f"{args.param} runs only --values")
         values = _parse_float_list(args.values, "values")
-        names = [f"step_{args.param}_{value:g}.csv" for value in values]
-        _check_file_names(names, "values")
         points = [{**params, args.param: value} for value in values]
-        entries = list(zip(names, points, points))
+        entries = [(f"step_{args.param}_{point[args.param]:g}.csv", point,
+                    point) for point in points]
         meta = {**params, "param": args.param, "values": values}
     else:
         raise ValueError("sweep takes either --scales, or --param with "
                          "--values, but not both")
+    names = [name for name, _, _ in entries]
+    clashes = sorted({n for n in names if names.count(n) > 1})
+    if clashes:  # values that would share a file
+        raise ValueError(f"--{'scales' if args.scales else 'values'}: more "
+                         f"than one value would write {', '.join(clashes)}")
     outdir = Path(args.output_dir) / "sweep"
     files = trajectory_files(outdir, {}, {}, entries)
     write_manifest(outdir, meta, files, command="sweep")
@@ -246,35 +233,30 @@ def cmd_sweep(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
     return 0
 
 
-def cmd_bode(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
+def cmd_curves(args) -> int:
+    """`bode` and `mse`: the closed-form curves of the parameters over
+    one frequency grid."""
+    params, _ = resolve_params(args)
     grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
-    outdir = Path(args.output_dir) / "bode"
-    files = bode_files(outdir, params, grid)
+    outdir = Path(args.output_dir) / args.command
+    if args.command == "bode":
+        files = bode_files(outdir, params, grid)
+        wrote = f"{len(files)} Bode tables under {outdir}"
+    else:
+        files = mse_files(outdir, {}, grid, [("mse.csv", params)])
+        wrote = outdir / "mse.csv"
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},
-                   files, command="bode")
-    print(f"wrote {len(files)} Bode tables under {outdir}")
+                   files, command=args.command)
+    print(f"wrote {wrote}")
     return 0
 
 
-def cmd_mse(args, params: dict, cfg: AdrcConfig, plant: FracPlant) -> int:
-    grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
-    outdir = Path(args.output_dir) / "mse"
-    files = mse_files(outdir, {}, grid, [("mse.csv", params)])
-    write_manifest(outdir, {**params, "omega_min": float(grid[0]),
-                            "omega_max": float(grid[-1]),
-                            "points_per_decade": args.points_per_decade},
-                   files, command="mse")
-    print(f"wrote {outdir / 'mse.csv'}")
-    return 0
-
-
-def cmd_stability(args, params: dict, cfg: AdrcConfig,
-                  plant: FracPlant) -> int:
+def cmd_stability(args) -> int:
+    params, _ = resolve_params(args)
     outdir = Path(args.output_dir) / "stability"
-    poly, report = loop_sector_test(cfg, plant)
-    entry = stability_file(outdir, poly, report, params)
+    entry, report = stability_file(outdir, params)
     write_manifest(outdir, params, [entry], command="stability")
     verdict = "stable" if report.stable else "unstable"
     if report.marginal:
@@ -288,8 +270,7 @@ def cmd_stability(args, params: dict, cfg: AdrcConfig,
     return 0 if report.stable else 2
 
 
-def cmd_reproduce(args, params: dict, cfg: AdrcConfig,
-                  plant: FracPlant) -> int:
+def cmd_reproduce(args) -> int:
     ids = list(EXPERIMENT_IDS) if args.experiment == "all" \
         else [args.experiment]
     manifests = []
@@ -315,7 +296,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, *resolve_params(args))
+        return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1

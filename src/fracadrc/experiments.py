@@ -6,9 +6,10 @@ stability report of the reference configuration, and the step-response /
 loop-gain-robustness simulation batteries.  Artifacts land under
 <output_dir>/<experiment_id>/ as CSV plus a JSON manifest and a
 metrics table, metrics.csv, computed from the results still in memory;
-`summarize` derives the same table from a manifest on disk.  The CLI
-builds its loops and writes its artifacts and manifests with the same
-helpers.
+`summarize` derives the same table from a manifest on disk.  Four
+writers, `trajectory_files`, `mse_files`, `bode_files` and
+`stability_file`, compute and write every artifact; the experiments and
+the CLI's commands only choose their parameters.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .artifacts import float_cells, write_json, write_rows
 from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
-from .plant import FracPlant
-from .stability import CharPoly, StabilityReport, loop_sector_test
+from .plant import DisturbanceSignal, FracPlant
+from .stability import StabilityReport, loop_sector_test
 
 # Reference bench parameters shared by the simulation experiments and the
 # CLI defaults: plant 1/(s**0.8 + 10) at 8 kHz, K = 150, omega_o = 400.
@@ -97,14 +98,19 @@ def trajectory_files(outdir: Path, runs: dict, data: dict,
     """Write one trajectory CSV per (file name, loop point, manifest
     parameters) entry under `outdir`; returns their manifest entries.
 
-    A loop point (DEFAULT_PARAMS keys and `variant`) is keyed in `runs`
-    (key -> (metrics, CSV path)) by its sorted items.  A loop already
-    there is copied from its CSV; every other is simulated before `outdir`
-    is made, then written and recorded, and its Trajectory dropped.  `data`
-    gets each file's metrics, for metrics.csv.
+    A loop point holds the `make_loop` keys and may hold the reference
+    `setpoint` (default 1.0) and DisturbanceSignal's fields, prefixed
+    `dist_` (default: none).  It is keyed in `runs` (key -> (metrics, CSV
+    path)) by its sorted items.  A loop already there is copied from its
+    CSV; every other is built with its disturbance and simulated before
+    `outdir` is made, then written and recorded, and its Trajectory
+    dropped.  `data` gets each file's metrics, for metrics.csv.
     """
     keys = [tuple(sorted(point.items())) for _, point, _ in entries]
-    loops = {key: make_loop(point)  # checks every point before any run
+    loops = {key: (*make_loop(point), point.get("setpoint", 1.0),
+                   DisturbanceSignal(**{k.removeprefix("dist_"): v
+                                        for k, v in point.items()
+                                        if k.startswith("dist_")}))
              for key, (_, point, _) in zip(keys, entries) if key not in runs}
     new = {key: run_closed_loop(*loop) for key, loop in loops.items()}
     outdir.mkdir(parents=True, exist_ok=True)
@@ -165,15 +171,18 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray) -> list[dict]:
     return files
 
 
-def stability_file(outdir: Path, poly: CharPoly, report: StabilityReport,
-                   params: dict) -> dict:
-    """Write <outdir>/stability_report.json, the `report` of a loop's
-    sector test on its characteristic polynomial `poly` (as
-    `loop_sector_test` returns them); returns its manifest entry."""
+def stability_file(outdir: Path,
+                   params: dict) -> tuple[dict, StabilityReport]:
+    """Sector-test the loop of `params` (DEFAULT_PARAMS' keys, each absent
+    one at its default) and write <outdir>/stability_report.json, made
+    only once the test has its verdict.  Returns the report's manifest
+    entry and the report."""
+    poly, report = loop_sector_test(*make_loop({**DEFAULT_PARAMS, **params}))
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "stability_report.json", report.to_dict())
-    return {"path": "stability_report.json", "kind": "stability_report",
-            "parameters": {**params, "p": poly.p, "q_den": poly.q_den}}
+    return ({"path": "stability_report.json", "kind": "stability_report",
+             "parameters": {**params, "p": poly.p, "q_den": poly.q_den}},
+            report)
 
 
 def run_experiment(exp_id: str, output_dir: str | Path = "results", *,
@@ -211,8 +220,7 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results", *,
         manifest_params = params
 
     elif exp_id == "fig10":
-        files = [stability_file(
-            outdir, *loop_sector_test(*make_loop(params)), params)]
+        files = [stability_file(outdir, params)[0]]
         manifest_params = params
 
     elif exp_id == "fig11":

@@ -3,6 +3,7 @@ and artifact generation for every subcommand."""
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -447,6 +448,27 @@ def test_divergence_prints_its_cause_once(tmp_path, capsys):
     assert capsys.readouterr().err.count("simulation diverged") == 1
 
 
+@pytest.mark.parametrize("variant", ["iadrc", "fadrc", "ifadrc"])
+def test_simulate_prints_the_metrics_row_of_reproduce(reproduce_all_root,
+                                                      tmp_path, capsys,
+                                                      variant):
+    # one metrics path: the numbers simulate prints are the metrics.csv row
+    # that reproduce writes for the same loop
+    assert run_cli("simulate", "--variant", variant,
+                   "--output-dir", str(tmp_path)) == 0
+    printed = capsys.readouterr().out.splitlines()[0]
+    with open(reproduce_all_root / "fig11" / "metrics.csv") as fh:
+        [row] = [row for row in csv.DictReader(fh)
+                 if row["artifact"] == f"step_{variant}.csv"]
+    m = {key: float(text) for key, text in row.items()
+         if key not in ("artifact", "kind") and text}
+    assert printed == (
+        f"simulate: {variant} settle_2pct={m['settle_2pct_s']:.4g}s "
+        f"overshoot={m['overshoot_pct']:.3g}% ss_error={m['ss_error']:.3g} "
+        f"rise_10_90={m['rise_10_90_s']:.4g}s "
+        f"comp_resid_rms={m['comp_resid_rms']:.4g}")
+
+
 def test_oversized_run_is_one_error_line(tmp_path, capsys, monkeypatch):
     # `simulate --Ts 1e-12` asks for 10**12 samples; the refused allocation
     # is raised in place of the run, so that the test allocates nothing
@@ -454,7 +476,7 @@ def test_oversized_run_is_one_error_line(tmp_path, capsys, monkeypatch):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with "
                           "shape (1000000000000,) and data type float64")
 
-    monkeypatch.setattr(cli, "run_closed_loop", refuse)
+    monkeypatch.setattr(experiments, "run_closed_loop", refuse)
     assert run_cli("simulate", "--Ts", "1e-12",
                    "--output-dir", str(tmp_path)) == 1
     err = capsys.readouterr().err
@@ -757,6 +779,21 @@ def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, loops", [("fig4", 0), ("fig10", 1)])
+def test_reproduce_builds_no_loop_it_does_not_run(tmp_path, monkeypatch,
+                                                  experiment, loops):
+    # reproduce resolves no parameters: fig4 needs no loop, and fig10 builds
+    # the one it sector-tests
+    calls = []
+    make_loop = experiments.make_loop
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "make_loop",
+                            lambda params: calls.append(params)
+                            or make_loop(params))
+    assert run_cli("reproduce", experiment, "--output-dir", str(tmp_path)) == 0
+    assert len(calls) == loops
+
+
 def test_reproduce_rejects_unknown_id(tmp_path, capsys):
     # there is no custom experiment: stability, then simulate, write its
     # report and its trajectory
@@ -778,8 +815,17 @@ sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import fracadrc.cli
 loaded = [m for m in sys.modules if m.startswith("scipy") and m != "scipy"]
 assert not loaded and sys.modules["scipy"] is None, loaded
-for argv in (["stability"], ["simulate", "--horizon", "0.05"], ["bode"],
-             ["mse"], ["reproduce", "fig5"]):
+short = ["--horizon", "0.05"]
+for argv in (["stability"], ["simulate", *short], ["bode"], ["mse"],
+             ["reproduce", "fig5"],
+             *(["simulate", "--variant", v, *short]
+               for v in ("iadrc", "fadrc", "ifadrc")),
+             ["simulate", "--dist-kind", "step", "--dist-amplitude", "0.5",
+              "--dist-onset", "0.02", *short],
+             ["simulate", "--dist-kind", "sinusoid", "--dist-amplitude", "0.5",
+              "--dist-frequency", "50", *short],
+             ["sweep", "--scales", "0.5,1,2", *short],
+             ["sweep", "--param", "K", "--values", "100,150", *short]):
     assert fracadrc.cli.main(argv) == 0, argv
 """
 
