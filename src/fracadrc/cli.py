@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Subcommands: simulate, sweep, bode, mse, stability, reproduce.  Each
-registers only the model flags its result reads, and its config file takes
-only their keys; `reproduce` runs the paper's frozen experiments and takes
-neither.  Parameters resolve in three layers: built-in defaults,
-then a flat `key = value` config file (--config), then explicit flags.
-Each command takes only the parsed `args`, resolves its own parameters
-and hands them to one of the `experiments` writers.  Exit codes: 0
-success / stable verdict, 1 invalid arguments or a root solve that fails
-its residual check, 2 unstable verdict of `stability`, 3 simulation
-divergence.
+registers only the model flags its result reads; `reproduce` runs the
+paper's frozen experiments and takes none.  Any argument beginning with
+`@` names an argument file: its whitespace-separated arguments, up to a
+`#` on each line, are read in its place.  Given flags, from the command
+line or a file, override the built-in defaults; a flag given twice keeps
+its later value.  Each command takes only the parsed `args`, resolves its
+own parameters and hands them to one of the `experiments` writers.  Exit
+codes: 0 success / stable verdict, 1 invalid arguments or a root solve
+that fails its residual check, 2 unstable verdict of `stability`, 3
+simulation divergence.
 """
 
 from __future__ import annotations
@@ -40,14 +41,13 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def convert_arg_line_to_args(self, arg_line):
+        # an argument file line: any number of arguments, then a comment
+        return arg_line.split("#", 1)[0].split()
+
 
 def _add_param_flags(p: argparse.ArgumentParser, keys=PARAM_KEYS) -> None:
-    # `keys`: the parameters the command's result depends on; a command
-    # that reads none takes no --config either
-    if keys:
-        p.add_argument("--config", metavar="FILE",
-                       help="flat 'key = value' file of these flags' keys; "
-                            "flags override it")
+    # `keys`: the parameters the command's result depends on
     helps = {"a_o": "plant pole coefficient", "b_o": "true plant gain",
              "b": "controller's nominal gain",
              "mu": "fractional order in (0, 1)",
@@ -76,7 +76,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fracadrc",
                      description="ADRC structures for fractional-order "
                                  "plants: simulation, stability, and "
-                                 "estimation-error analysis.")
+                                 "estimation-error analysis.",
+                     fromfile_prefix_chars="@")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="one closed-loop step run")
@@ -123,48 +124,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def load_config_file(path, keys, command: str) -> dict:
-    out, set_on = {}, {}
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}")
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
-        at = f"{path}:{lineno}"
-        if not eq:
-            raise ValueError(f"{at}: expected 'key = value'")
-        if key not in keys:
-            raise ValueError(f"{at}: {command} takes no config key '{key}'")
-        if key in set_on:
-            raise ValueError(f"{at}: '{key}' is already set on line "
-                             f"{set_on[key]}")
-        set_on[key] = lineno
-        try:
-            out[key] = (AdrcVariant(value.lower()).value if key == "variant"
-                        else float(value))
-        except ValueError:
-            raise ValueError(f"{at}: invalid value for '{key}': {value!r}"
-                             + (f" (choose from {', '.join(VARIANTS)})"
-                                if key == "variant" else ""))
-    return out
-
-
 def resolve_params(args) -> tuple[dict, AdrcConfig]:
-    """Defaults, then the --config file, then the flags, for the keys of
-    the command's model flags.  Every given value is left on `args`.
+    """The defaults overlaid with the given model flags of the command.
     Returns the command's parameters with the config of the full loop;
     building that loop through `make_loop` is the only check on them."""
     keys = [key for key in PARAM_KEYS if hasattr(args, key)]
-    given = load_config_file(args.config, keys, args.command) \
-        if getattr(args, "config", None) else {}
-    given.update((key, getattr(args, key)) for key in keys
-                 if getattr(args, key) is not None)
-    vars(args).update(given)
-    params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value, **given}
+    params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value,
+              **{key: getattr(args, key) for key in keys
+                 if getattr(args, key) is not None}}
     return {key: params[key] for key in keys}, make_loop(params)[0]
 
 
@@ -203,13 +170,13 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 
 def cmd_sweep(args) -> int:
     params, _ = resolve_params(args)
-    if args.scales and not (args.param or args.values):
+    if args.scales is not None and args.param is None and args.values is None:
         scales = _parse_float_list(args.scales, "scales")
         if any(s <= 0.0 for s in scales):
             raise ValueError(f"scales must be positive, got {scales}")
         entries = [gain_scale_entry(params, scale) for scale in scales]
         meta = {**params, "scales": scales}
-    elif args.param and args.values and not args.scales:
+    elif args.scales is None and None not in (args.param, args.values):
         if getattr(args, args.param) is not None:
             raise ValueError(f"'{args.param}' is given, but --param "
                              f"{args.param} runs only --values")
@@ -292,11 +259,11 @@ def cmd_reproduce(args) -> int:
 
 def main(argv=None) -> int:
     try:
+        # parsing reads the argument files, which may not decode
         args = _build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
         print(f"fracadrc: error: {exc}", file=sys.stderr)
         return 1

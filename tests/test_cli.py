@@ -1,4 +1,4 @@
-"""Command-line interface: argument handling, config files, exit codes,
+"""Command-line interface: argument handling, argument files, exit codes,
 and artifact generation for every subcommand."""
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def _src_env() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Argument and config handling
+# Argument and argument-file handling
 # ---------------------------------------------------------------------------
 
 
@@ -73,36 +73,43 @@ def test_unknown_flag_fails(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_unknown_config_key_fails(tmp_path, capsys):
-    cfg = tmp_path / "params.cfg"
+def test_argument_file_rejects_a_flag_the_command_does_not_take(tmp_path,
+                                                                capsys):
+    # a file's flags are parsed as the command line's: a flag the command
+    # does not register names itself, and nothing is written
+    args = tmp_path / "model.args"
     out = tmp_path / "out"
-    cfg.write_text("K = 300\nwibble = 7\n")
-    assert run_cli("stability", "--config", str(cfg),
-                   "--output-dir", str(out)) == 1
-    assert "wibble" in capsys.readouterr().err
-    cfg.write_text("memory_len = 10\n")
-    assert run_cli("simulate", "--config", str(cfg),
-                   "--output-dir", str(out)) == 1
-    assert "memory_len" in capsys.readouterr().err
-    # a repeated key, a bad value, and a key of a flag the command does
-    # not register name their line
-    for command, text, message in [
-        ("stability", "K = 100\nmu = 0.8\nK = 300\n",
-         f"{cfg}:3: 'K' is already set on line 1"),
-        ("stability", "mu = 0.8\nK = 100 = 3\n",
-         f"{cfg}:2: invalid value for 'K': '100 = 3'"),
-        ("simulate", "variant = foo\n",
-         f"{cfg}:1: invalid value for 'variant': 'foo' "
-         "(choose from iadrc, fadrc, ifadrc)"),
-        ("stability", "K = 100\nTs = 0.01\n",
-         f"{cfg}:2: stability takes no config key 'Ts'"),
-        ("mse", "b = 2\nb_o = 2\n", f"{cfg}:1: mse takes no config key 'b'"),
+    for command, text, flag in [
+        ("stability", "--K 300\n--wibble 7\n", "--wibble"),
+        ("simulate", "--memory-len 10\n", "--memory-len"),
+        ("stability", "--K 100\n--Ts 0.01\n", "--Ts"),
+        ("mse", "--b 2 --b_o 2\n", "--b"),
+        ("stability", "--mu 0.8\n--K 100 3\n", "3"),
+        ("stability", "--K abc\n", "abc"),
     ]:
-        cfg.write_text(text)
-        assert run_cli(command, "--config", str(cfg),
-                       "--output-dir", str(out)) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"fracadrc: error: {message}"]
+        args.write_text(text)
+        assert run_cli(command, f"@{args}", "--output-dir", str(out)) == 1
+        [message] = [line for line in capsys.readouterr().err.splitlines()
+                     if "error:" in line]
+        assert flag in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(None, id="missing"),
+    pytest.param(b"--K 300  # \xff\n", id="not-utf-8"),
+])
+def test_unreadable_argument_file_fails_with_one_error_line(tmp_path, capsys,
+                                                            content):
+    args = tmp_path / "model.args"
+    if content is not None:
+        args.write_bytes(content)
+    out = tmp_path / "out"
+    assert run_cli("stability", f"@{args}", "--output-dir", str(out)) == 1
+    [error] = [line for line in capsys.readouterr().err.splitlines()
+               if "error:" in line]
+    if content is None:
+        assert str(args) in error
     assert not out.exists()
 
 
@@ -110,19 +117,18 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     ["simulate"], ["sweep", "--scales", "1"], ["bode"], ["mse"],
     ["stability"],
 ])
-def test_config_variant_is_checked_for_every_command(tmp_path, capsys,
-                                                     command):
-    cfg = tmp_path / "params.cfg"
-    cfg.write_text("variant = foo\n")
+def test_argument_file_variant_is_checked_for_every_command(tmp_path, capsys,
+                                                            command):
+    args = tmp_path / "model.args"
     out = tmp_path / "out"
-    assert run_cli(*command, "--config", str(cfg), "--output-dir", str(out)) == 1
-    # bode, mse and stability read no variant, so the file may not give one
-    message = (f"{command[0]} takes no config key 'variant'"
-               if command[0] in ("bode", "mse", "stability") else
-               "invalid value for 'variant': 'foo' "
-               "(choose from iadrc, fadrc, ifadrc)")
-    assert capsys.readouterr().err.splitlines() == [
-        f"fracadrc: error: {cfg}:1: {message}"]
+    for variant in ("foo", "IADRC"):
+        args.write_text(f"--variant {variant}\n")
+        assert run_cli(*command, f"@{args}", "--output-dir", str(out)) == 1
+        # bode, mse and stability read no variant, so take no --variant
+        message = (f"unrecognized arguments: --variant {variant}"
+                   if command[0] in ("bode", "mse", "stability") else
+                   f"argument --variant: invalid choice: '{variant}'")
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -150,16 +156,23 @@ def test_every_model_flag_changes_what_its_command_writes(tmp_path, command,
     # record its value; the runs are short where the command has --horizon
     flags = ({"horizon": "0.01"} if (command, "horizon") in _model_flags()
              else {})
+    # and the flag read from an argument file writes the flag's bytes; both
+    # write into one directory, since manifest.json records it
+    args = tmp_path / "model.args"
+    args.write_text(f"--{key} {PERTURBED[key]}\n")
+    argv = [arg for k, v in flags.items() for arg in (f"--{k}", v)]
     written = []
-    for values in (flags, {**flags, key: PERTURBED[key]}):
-        out = tmp_path / str(len(written))
-        argv = [arg for k, v in values.items() for arg in (f"--{k}", v)]
-        assert run_cli(command, *FLAG_RUNS[command], *argv,
+    for given, out in (([], tmp_path / "default"),
+                       ([f"--{key}", PERTURBED[key]], tmp_path / "perturbed"),
+                       ([f"@{args}"], tmp_path / "perturbed")):
+        assert run_cli(command, *FLAG_RUNS[command], *argv, *given,
                        "--output-dir", str(out)) == 0
         written.append({p.relative_to(out): p.read_bytes()
-                        for p in out.rglob("*")
-                        if p.is_file() and p.name != "manifest.json"})
-    assert written[0] != written[1]
+                        for p in out.rglob("*") if p.is_file()})
+    default, flag, from_file = written
+    assert ({k: v for k, v in default.items() if k.name != "manifest.json"}
+            != {k: v for k, v in flag.items() if k.name != "manifest.json"})
+    assert from_file == flag
 
 
 @pytest.mark.parametrize("argv, name", [
@@ -264,17 +277,24 @@ def test_one_sample_horizon_fails_before_writing(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    # File overrides defaults; explicit flags override the file.
-    cfg = tmp_path / "params.cfg"
-    cfg.write_text("# tuning\nK = 300\nmu = 0.85\n")
+def test_argument_file_and_flag_precedence(tmp_path, capsys):
+    # the file's flags override the defaults; of a flag given twice, in the
+    # file or on the command line, the later one wins
+    args = tmp_path / "model.args"
+    args.write_text("# tuning\n--K 300   --mu 0.85  # mu = 17/20\n")
     out = str(tmp_path / "out")
-    assert run_cli("stability", "--config", str(cfg), "--output-dir", out) == 0
+    assert run_cli("stability", f"@{args}", "--output-dir", out) == 0
     printed = capsys.readouterr().out
     assert "degree=57" in printed  # mu = 17/20 -> 17 + 2*20
     assert "lambda=0.05" in printed
-    assert run_cli("stability", "--config", str(cfg), "--mu", "0.8",
+    assert run_cli("stability", f"@{args}", "--mu", "0.8",
                    "--output-dir", out) == 0
+    assert "degree=14" in capsys.readouterr().out
+    assert run_cli("stability", "--mu", "0.8", f"@{args}",
+                   "--output-dir", out) == 0
+    assert "degree=57" in capsys.readouterr().out
+    args.write_text("--mu 0.85\n--mu 0.8\n")
+    assert run_cli("stability", f"@{args}", "--output-dir", out) == 0
     assert "degree=14" in capsys.readouterr().out
 
 
@@ -544,10 +564,20 @@ def test_sweep_over_orders_writes_each_orders_solo_bytes(tmp_path):
                 == (solo / "simulate" / "trajectory.csv").read_bytes())
 
 
-def test_sweep_requires_a_mode(tmp_path, capsys):
-    assert run_cli("sweep", "--output-dir", str(tmp_path)) == 1
-    err = capsys.readouterr().err
-    assert "--scales" in err or "--param" in err
+@pytest.mark.parametrize("argv, message", [
+    pytest.param([], "sweep takes either --scales, or --param with --values, "
+                 "but not both", id="none"),
+    # an empty list is the given mode with no value, not a missing mode
+    pytest.param(["--scales", ""], "'scales' must list at least one value",
+                 id="empty-scales"),
+    pytest.param(["--param", "K", "--values", ""],
+                 "'values' must list at least one value", id="empty-values"),
+])
+def test_sweep_requires_a_mode(tmp_path, capsys, argv, message):
+    assert run_cli("sweep", *argv, "--output-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"fracadrc: error: {message}"]
+    assert not (tmp_path / "sweep").exists()
 
 
 def test_sweep_rejects_both_modes(tmp_path, capsys):
@@ -582,13 +612,13 @@ def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
     assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("given", ["flag", "argfile"])
 def test_sweep_rejects_a_value_of_the_swept_parameter(tmp_path, capsys,
                                                       given):
     # --values sets K in every run, so a given K would change nothing
-    cfg = tmp_path / "params.cfg"
-    cfg.write_text("K = 300\n")
-    flags = ["--K", "300"] if given == "flag" else ["--config", str(cfg)]
+    args = tmp_path / "model.args"
+    args.write_text("--K 300\n")
+    flags = ["--K", "300"] if given == "flag" else [f"@{args}"]
     out = tmp_path / "out"
     assert run_cli("sweep", "--param", "K", "--values", "100,150", *flags,
                    "--horizon", "0.01", "--output-dir", str(out)) == 1
@@ -761,21 +791,21 @@ def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
     ("fig11", ["--K", "200", "--horizon", "0.1"]),
     ("fig5", ["--variant", "iadrc"]),
     ("all", ["--horizon", "0.1"]),
-    ("fig4", ["--config"]),
+    ("fig4", ["@model.args"]),
 ])
 def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
+                                                         monkeypatch,
                                                          experiment, flags):
     # every experiment runs its frozen parameters: reproduce has no model
-    # flag and no --config
-    if flags == ["--config"]:
-        cfg = tmp_path / "params.cfg"
-        cfg.write_text("K = 200\n")
-        flags = ["--config", str(cfg)]
+    # flag, from the command line or an argument file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "model.args").write_text("--K 200\n")
     out = tmp_path / "out"
     assert run_cli("reproduce", experiment, *flags,
                    "--output-dir", str(out)) == 1
     err = capsys.readouterr().err
-    assert all(flag in err for flag in flags if flag.startswith("--"))
+    named = ["--K"] if flags == ["@model.args"] else flags
+    assert all(flag in err for flag in named if flag.startswith("--"))
     assert not out.exists()
 
 
