@@ -17,23 +17,36 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
 from .artifacts import write_json
 from .control import AdrcConfig, AdrcVariant, SimulationDiverged
 from .experiments import (BODE_GRID, DEFAULT_PARAMS, EXPERIMENT_IDS, MSE_GRID,
-                          bode_files, gain_scale_entry, make_loop, mse_files,
+                          bode_files, gain_scale_entry, mse_files,
                           run_experiment, stability_file, trajectory_files,
                           write_manifest)
 from .freqdom import log_grid
 from .plant import DisturbanceSignal
 
-PARAM_KEYS = (*DEFAULT_PARAMS, "variant")
-VARIANTS = [v.value for v in AdrcVariant]
+PARAM_HELP = {"a_o": "plant pole coefficient", "b_o": "true plant gain",
+              "b": "controller's nominal gain",
+              "mu": "fractional order in (0, 1)",
+              "K": "outer-loop proportional gain",
+              "omega_o": "observer bandwidth, rad/s",
+              "Ts": "sample time, seconds",
+              "horizon": "simulation length, seconds"}
+PARAM_KEYS = (*PARAM_HELP, "variant")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number in exponent form (-1e6) is a value, not a flag
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on bad flags; this front end reserves 2 for the
     # unstable verdict, so usage errors map to 1 instead
     def error(self, message):
@@ -48,20 +61,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_param_flags(p: argparse.ArgumentParser, keys=PARAM_KEYS) -> None:
     # `keys`: the parameters the command's result depends on
-    helps = {"a_o": "plant pole coefficient", "b_o": "true plant gain",
-             "b": "controller's nominal gain",
-             "mu": "fractional order in (0, 1)",
-             "K": "outer-loop proportional gain",
-             "omega_o": "observer bandwidth, rad/s",
-             "Ts": "sample time, seconds",
-             "horizon": "simulation length, seconds"}
     for key in keys:
         if key == "variant":
-            p.add_argument("--variant", choices=VARIANTS,
+            p.add_argument("--variant", choices=[v.value for v in AdrcVariant],
                            help="controller structure "
                                 f"(default {AdrcConfig.variant.value})")
         else:
-            p.add_argument(f"--{key}", type=float, help=helps[key])
+            p.add_argument(f"--{key}", type=float, help=PARAM_HELP[key])
     p.add_argument("--output-dir", default="results",
                    help="artifact root directory (default: results)")
 
@@ -126,13 +132,14 @@ def _build_parser() -> _Parser:
 
 def resolve_params(args) -> tuple[dict, AdrcConfig]:
     """The defaults overlaid with the given model flags of the command.
-    Returns the command's parameters with the config of the full loop;
-    building that loop through `make_loop` is the only check on them."""
+    Returns the command's parameters with their loop, each absent field at
+    its default; building that AdrcConfig is the only check on them."""
     keys = [key for key in PARAM_KEYS if hasattr(args, key)]
     params = {**DEFAULT_PARAMS, "variant": AdrcConfig.variant.value,
               **{key: getattr(args, key) for key in keys
                  if getattr(args, key) is not None}}
-    return {key: params[key] for key in keys}, make_loop(params)[0]
+    params = {key: params[key] for key in keys}
+    return params, AdrcConfig(**params)
 
 
 def cmd_simulate(args) -> int:

@@ -1,4 +1,4 @@
-"""Closed-loop ADRC structures and the fixed-step simulation engine.
+"""Closed-loop ADRC: the one loop value `AdrcConfig` and its engine.
 
 Loop per sample: read y, advance the observer, apply the outer proportional
 law u0 = K*(v_d - z1) and the compensating inner law
@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .artifacts import write_csv
 from .observers import Feso, Ieso, Ifeso
-from .plant import DisturbanceSignal, FracPlant
+from .plant import DisturbanceSignal, FracPlant, check_plant
 
 DIVERGENCE_LIMIT = 1e9
 
@@ -40,9 +40,9 @@ class SimulationDiverged(RuntimeError):
 
 @dataclass
 class AdrcConfig:
-    """Controller parameters.  Defaults match the reference bench setup:
-    K = 150, omega_o = 400 rad/s, matched gain b = 1, 8 kHz sampling,
-    1 s horizon."""
+    """One closed loop: the controller, the plant b_o / (s**mu + a_o), Ts
+    and the horizon.  Defaults match the reference bench setup: K = 150,
+    omega_o = 400 rad/s, b = 1, plant 1/(s**0.8 + 10), 8 kHz, 1 s."""
 
     variant: AdrcVariant = AdrcVariant.IFADRC
     K: float = 150.0
@@ -50,6 +50,9 @@ class AdrcConfig:
     b: float = 1.0
     Ts: float = 1.0 / 8000.0
     horizon: float = 1.0
+    a_o: float = 10.0
+    b_o: float = 1.0
+    mu: float = 0.8
 
     def __post_init__(self):
         variant = self.variant
@@ -62,13 +65,19 @@ class AdrcConfig:
                                  f"got {value}")
         if not (math.isfinite(self.b) and self.b != 0.0):
             raise ValueError(f"b must be nonzero and finite, got {self.b}")
-        for name in ("K", "omega_o", "b", "Ts", "horizon"):
+        check_plant(self.a_o, self.b_o, self.mu, self.Ts)
+        for name in ("K", "omega_o", "b", "Ts", "horizon", "a_o", "b_o",
+                     "mu"):
             setattr(self, name, float(getattr(self, name)))
 
     def samples(self) -> int:
-        """Number of samples a run simulates: horizon / Ts, rounded.  A
-        run needs two, since its step metrics take a numerical gradient."""
-        n = int(round(self.horizon / self.Ts))
+        """Samples a run simulates, horizon / Ts rounded: two at least, for
+        the step metrics' gradient, and no more than one array holds."""
+        count = self.horizon / self.Ts
+        if count > np.iinfo(np.intp).max // 8:  # bytes per float64
+            raise ValueError(f"horizon {self.horizon} s at Ts {self.Ts} s is "
+                             f"{count:.4g} samples, more than one array holds")
+        n = int(round(count))
         if n < 2:
             raise ValueError("horizon shorter than two samples")
         return n
@@ -116,30 +125,31 @@ class Trajectory:
         return cls(Ts=float(t[1] - t[0]), **cols)
 
 
-def _observer(cfg: AdrcConfig, plant: FracPlant):
-    """The fresh observer of cfg.variant; its order follows the plant."""
+def _observer(cfg: AdrcConfig):
+    """The fresh observer of cfg.variant."""
     if cfg.variant is AdrcVariant.IADRC:
         return Ieso(cfg.omega_o, cfg.b, cfg.Ts)
     cls = Feso if cfg.variant is AdrcVariant.FADRC else Ifeso
-    return cls(cfg.omega_o, cfg.b, plant.mu, cfg.Ts)
+    return cls(cfg.omega_o, cfg.b, cfg.mu, cfg.Ts)
 
 
-def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
+def run_closed_loop(cfg: AdrcConfig, plant: FracPlant | None = None, *,
+                    v_d: float = 1.0,
                     d: DisturbanceSignal | None = None) -> Trajectory:
-    """Simulate one closed loop and record every signal per sample.
+    """Simulate the loop `cfg` and record every signal per sample.
 
-    The plant must be fresh (zero history) and share the config sample
-    time; the observer order follows the plant.  `v_d` is the constant
-    reference, a finite number; `d` is a DisturbanceSignal (None for no
-    disturbance).  A sinusoid at or above the Nyquist frequency pi/Ts, or a
-    step whose onset falls after the last sample time, raises ValueError
-    before any step.  Raises SimulationDiverged as soon as the output goes
-    non-finite or beyond DIVERGENCE_LIMIT.
+    `v_d` is the constant reference, a finite number; `d` is a
+    DisturbanceSignal (None for no disturbance).  A sinusoid at or above
+    the Nyquist frequency pi/Ts, or a step whose onset falls after the last
+    sample time, raises ValueError before any step.  Raises
+    SimulationDiverged as soon as the output goes non-finite or beyond
+    DIVERGENCE_LIMIT.  A `plant` (the benchmark harness's call form) only
+    lends cfg its a_o, b_o and mu, at cfg's Ts; it is never stepped.
     """
-    if abs(plant.Ts - cfg.Ts) > 1e-15:
-        raise ValueError(f"plant Ts {plant.Ts} != config Ts {cfg.Ts}")
-    if plant.gl.size:
-        raise ValueError("plant carries history; pass a fresh instance")
+    if plant is not None:
+        if abs(plant.Ts - cfg.Ts) > 1e-15:
+            raise ValueError(f"plant Ts {plant.Ts} != config Ts {cfg.Ts}")
+        cfg = replace(cfg, a_o=plant.a_o, b_o=plant.b_o, mu=plant.mu)
     n = cfg.samples()
     v_d = float(v_d)
     if not math.isfinite(v_d):
@@ -162,7 +172,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
     darr = d.render(t)
     dview = memoryview(darr)
 
-    obs = _observer(cfg, plant)
+    obs, plant = _observer(cfg), FracPlant(cfg.a_o, cfg.b_o, cfg.mu, cfg.Ts)
     # six separate columns, each written through a memoryview: a store of
     # a Python float costs less there than through the numpy array
     ya, ua, u0a, z1a, z2a, qha = (np.empty(n) for _ in range(6))
@@ -195,20 +205,20 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
                       q_hat=qha, d=darr, Ts=cfg.Ts)
 
 
-def loop_symbol(cfg: AdrcConfig, plant: FracPlant, zeta=None,
-                s=None) -> np.ndarray:
+def loop_symbol(cfg: AdrcConfig, zeta=None, s=None) -> np.ndarray:
     """One 5 x 5 complex matrix per point over (Y, Z1, Z2, Q_hat, U), mapping
-    them to (zeta*d, 0, 0, 0, K*v_d), for the loop run_closed_loop(cfg, plant)
+    them to (zeta*d, 0, 0, 0, K*v_d), for the loop run_closed_loop(cfg)
     runs: sampled at delays `zeta` (D = (1 - zeta)/Ts), or continuous at
     Laplace points `s` (zeta = 1, D = s); D^mu = D**mu, principal branch."""
     if (zeta is None) == (s is None):
         raise ValueError("pass exactly one of zeta and s")
     zeta = np.asarray(1.0 if zeta is None else zeta, dtype=complex)
     D = (1.0 - zeta) / cfg.Ts if s is None else np.asarray(s, dtype=complex)
-    Dmu = D ** plant.mu
+    Dmu = D ** cfg.mu
     # the control row: b*U + K*Z1 + Z2 + Q_hat = K*v_d
+    plant = FracPlant(cfg.a_o, cfg.b_o, cfg.mu, cfg.Ts)
     rows = (plant.symbol_rows(zeta, D, Dmu)
-            + _observer(cfg, plant).symbol_rows(zeta, D, Dmu)
+            + _observer(cfg).symbol_rows(zeta, D, Dmu)
             + [(0, cfg.K, 1, 1, cfg.b)])
     M = [[np.broadcast_to(entry, D.shape) for entry in row] for row in rows]
     return np.moveaxis(np.array(M, dtype=complex), (0, 1), (-2, -1))

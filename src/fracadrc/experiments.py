@@ -9,13 +9,14 @@ metrics table, metrics.csv, computed from the results still in memory;
 `summarize` derives the same table from a manifest on disk.  Four
 writers, `trajectory_files`, `mse_files`, `bode_files` and
 `stability_file`, compute and write every artifact; the experiments and
-the CLI's commands only choose their parameters.
+the CLI's commands only choose their parameters, a loop's AdrcConfig fields.
 """
 
 from __future__ import annotations
 
 import json
 import shutil
+from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
@@ -25,21 +26,13 @@ from .artifacts import float_cells, write_json, write_rows
 from .control import AdrcConfig, AdrcVariant, Trajectory, run_closed_loop
 from .freqdom import (bode, g_ifio, g_io, log_grid, mse_ifio, mse_io,
                       write_bode_csv, write_mse_csv)
-from .plant import DisturbanceSignal, FracPlant
+from .plant import DisturbanceSignal
 from .stability import StabilityReport, loop_sector_test
 
 # Reference bench parameters shared by the simulation experiments and the
-# CLI defaults: plant 1/(s**0.8 + 10) at 8 kHz, K = 150, omega_o = 400.
-DEFAULT_PARAMS = {
-    "a_o": 10.0,
-    "b_o": 1.0,
-    "b": 1.0,
-    "mu": 0.8,
-    "K": 150.0,
-    "omega_o": 400.0,
-    "Ts": 1.0 / 8000.0,
-    "horizon": 1.0,
-}
+# CLI defaults: AdrcConfig's fields but the first, variant.
+LOOP_KEYS = tuple(field.name for field in fields(AdrcConfig))
+DEFAULT_PARAMS = {key: getattr(AdrcConfig, key) for key in LOOP_KEYS[1:]}
 
 # Estimation-error studies run at a higher observer bandwidth where the
 # integer/fractional contrast is pronounced.
@@ -68,20 +61,6 @@ EXPERIMENT_IDS = ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
 TRANSIENT_WINDOW = 0.2  # s, window for the compensation-residual RMS
 
 
-def make_loop(params: dict) -> tuple[AdrcConfig, FracPlant]:
-    """Controller config and fresh plant for one parameter set.
-
-    `params` holds the DEFAULT_PARAMS keys and may hold `variant`
-    (AdrcConfig's default when absent).  The AdrcConfig and FracPlant
-    constructors are the only check on the values.
-    """
-    cfg = AdrcConfig(variant=params.get("variant", AdrcConfig.variant),
-                     K=params["K"], omega_o=params["omega_o"], b=params["b"],
-                     Ts=params["Ts"], horizon=params["horizon"])
-    plant = FracPlant(params["a_o"], params["b_o"], params["mu"], params["Ts"])
-    return cfg, plant
-
-
 def write_manifest(outdir: Path, parameters: dict, files: list[dict],
                    **label) -> dict:
     """Write and return <outdir>/manifest.json: the `label` entries
@@ -98,7 +77,7 @@ def trajectory_files(outdir: Path, runs: dict, data: dict,
     """Write one trajectory CSV per (file name, loop point, manifest
     parameters) entry under `outdir`; returns their manifest entries.
 
-    A loop point holds the `make_loop` keys and may hold the reference
+    A loop point holds AdrcConfig's fields and may hold the reference
     `setpoint` (default 1.0) and DisturbanceSignal's fields, prefixed
     `dist_` (default: none).  It is keyed in `runs` (key -> (metrics, CSV
     path)) by its sorted items.  A loop already there is copied from its
@@ -107,12 +86,15 @@ def trajectory_files(outdir: Path, runs: dict, data: dict,
     dropped.  `data` gets each file's metrics, for metrics.csv.
     """
     keys = [tuple(sorted(point.items())) for _, point, _ in entries]
-    loops = {key: (*make_loop(point), point.get("setpoint", 1.0),
+    loops = {key: (AdrcConfig(**{k: v for k, v in point.items()
+                                 if k in LOOP_KEYS}),
+                   point.get("setpoint", 1.0),
                    DisturbanceSignal(**{k.removeprefix("dist_"): v
                                         for k, v in point.items()
                                         if k.startswith("dist_")}))
              for key, (_, point, _) in zip(keys, entries) if key not in runs}
-    new = {key: run_closed_loop(*loop) for key, loop in loops.items()}
+    new = {key: run_closed_loop(cfg, v_d=v, d=d)
+           for key, (cfg, v, d) in loops.items()}
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     for key, (name, _, parameters) in zip(keys, entries):
@@ -173,11 +155,11 @@ def bode_files(outdir: Path, params: dict, grid: np.ndarray) -> list[dict]:
 
 def stability_file(outdir: Path,
                    params: dict) -> tuple[dict, StabilityReport]:
-    """Sector-test the loop of `params` (DEFAULT_PARAMS' keys, each absent
+    """Sector-test the loop of `params` (AdrcConfig's fields, each absent
     one at its default) and write <outdir>/stability_report.json, made
     only once the test has its verdict.  Returns the report's manifest
     entry and the report."""
-    poly, report = loop_sector_test(*make_loop({**DEFAULT_PARAMS, **params}))
+    poly, report = loop_sector_test(AdrcConfig(**params))
     outdir.mkdir(parents=True, exist_ok=True)
     write_json(outdir / "stability_report.json", report.to_dict())
     return ({"path": "stability_report.json", "kind": "stability_report",

@@ -1,4 +1,4 @@
-"""Fractional first-order SISO plant with an additive input disturbance."""
+"""Fractional SISO plant, its parameter checks and an input disturbance."""
 
 from __future__ import annotations
 
@@ -8,6 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fracops import GLOperator, gl_differintegral
+
+
+def check_plant(a_o: float, b_o: float, mu: float, Ts: float) -> None:
+    """Raise ValueError unless FracPlant can step b_o/(s**mu + a_o) at Ts."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in (0, 1), got {mu}")
+    if not math.isfinite(a_o):
+        raise ValueError(f"a_o must be finite, got {a_o}")
+    if not (math.isfinite(b_o) and b_o != 0.0):
+        raise ValueError(f"b_o must be nonzero and finite, got {b_o}")
+    if not (math.isfinite(Ts) and Ts > 0.0):
+        raise ValueError(f"Ts must be positive and finite, got {Ts}")
+    if float(Ts) ** -float(mu) + float(a_o) == 0.0:
+        raise ValueError("singular update: Ts**-mu + a_o == 0")
 
 
 class FracPlant:
@@ -20,23 +34,11 @@ class FracPlant:
     """
 
     def __init__(self, a_o: float, b_o: float, mu: float, Ts: float):
-        if not 0.0 < mu < 1.0:
-            raise ValueError(f"mu must lie in (0, 1), got {mu}")
-        if not math.isfinite(a_o):
-            raise ValueError(f"a_o must be finite, got {a_o}")
-        if not (math.isfinite(b_o) and b_o != 0.0):
-            raise ValueError(f"b_o must be nonzero and finite, got {b_o}")
-        if not (math.isfinite(Ts) and Ts > 0.0):
-            raise ValueError(f"Ts must be positive and finite, got {Ts}")
-        self.a_o = float(a_o)
-        self.b_o = float(b_o)
-        self.mu = float(mu)
-        self.Ts = float(Ts)
+        check_plant(a_o, b_o, mu, Ts)
+        self.a_o, self.b_o, self.mu, self.Ts = map(float, (a_o, b_o, mu, Ts))
         self.gl = GLOperator(mu, Ts)
         self._scale = self.Ts ** -self.mu
         self._denom = self._scale + self.a_o  # w_0 = 1
-        if self._denom == 0.0:
-            raise ValueError("singular update: Ts**-mu + a_o == 0")
 
     def step(self, u: float, d: float = 0.0) -> float:
         """Advance one sample under held input u and disturbance d."""
@@ -103,11 +105,11 @@ class DisturbanceSignal:
         return self.amplitude * np.sin(self.frequency * t)
 
 
-def reconstruct_disturbances(trajectory, plant, b: float) -> dict[str, np.ndarray]:
+def reconstruct_disturbances(trajectory, cfg) -> dict[str, np.ndarray]:
     """Ground-truth disturbance signals for observer-accuracy scoring.
 
     `trajectory` must carry aligned y/u/d arrays and the sample time Ts;
-    `plant` supplies the true parameters (a_o, b_o, mu).  ydot comes from
+    `cfg`, its AdrcConfig, supplies a_o, b_o, mu and b.  ydot comes from
     central differences (one-sided at the ends), the fractional derivative
     from the GL convolution.  Returns the lumped total disturbance seen by
     each observer structure plus the derivative mismatch q = ydot - y^(mu):
@@ -124,7 +126,7 @@ def reconstruct_disturbances(trajectory, plant, b: float) -> dict[str, np.ndarra
         raise ValueError("trajectory arrays must have equal length")
     Ts = float(trajectory.Ts)
     ydot = np.gradient(y, Ts)
-    ymu = gl_differintegral(y, plant.mu, Ts)
+    ymu = gl_differintegral(y, cfg.mu, Ts)
     q = ydot - ymu
-    f_ifo = -plant.a_o * y + (plant.b_o - b) * u + d
+    f_ifo = -cfg.a_o * y + (cfg.b_o - cfg.b) * u + d
     return {"f_ifo": f_ifo, "f_io": f_ifo + q, "q": q}

@@ -21,7 +21,6 @@ from numpy.polynomial import polynomial as npoly
 
 from .control import AdrcConfig
 from .observers import bandwidth_gains
-from .plant import FracPlant
 
 MAX_DEGREE = 300
 SECTOR_GUARD = 1e-9
@@ -321,13 +320,11 @@ def sector_test(poly: CharPoly) -> StabilityReport:
                            lam=poly.lam, degree=poly.degree)
 
 
-def loop_sector_test(cfg: AdrcConfig,
-                     plant: FracPlant) -> tuple[CharPoly, StabilityReport]:
-    """Sector test of the improved-observer loop that `cfg` and `plant`
-    describe: the controller's K, b and bandwidth gains against the
-    plant's a_o, b_o and rationalized order.  Returns the characteristic
-    polynomial with its report."""
-    p, q_den = rationalize_order(plant.mu)
-    poly = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K,
+def loop_sector_test(cfg: AdrcConfig) -> tuple[CharPoly, StabilityReport]:
+    """Sector test of the improved-observer loop `cfg`: the controller's
+    K, b and bandwidth gains against the plant's a_o, b_o and rationalized
+    order.  Returns the characteristic polynomial with its report."""
+    p, q_den = rationalize_order(cfg.mu)
+    poly = build_char_poly(cfg.b, cfg.b_o, cfg.a_o, cfg.K,
                            *bandwidth_gains(cfg.omega_o), p, q_den)
     return poly, sector_test(poly)

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, settings
 
 from fracadrc import AdrcVariant, run_closed_loop
 
-from helpers import ref_config, ref_plant
+from helpers import ref_loop
 
 # Deterministic property tests: same examples every run, no flaky deadlines.
 settings.register_profile(
@@ -29,9 +29,9 @@ def ref_trio():
     """
     out = {}
     for variant in AdrcVariant:
-        cfg = ref_config(variant=variant)
+        cfg = ref_loop(variant=variant)
         t0 = time.perf_counter()
-        traj = run_closed_loop(cfg, ref_plant(), v_d=1.0)
+        traj = run_closed_loop(cfg, v_d=1.0)
         out[variant.value] = {
             "trajectory": traj,
             "elapsed_s": time.perf_counter() - t0,

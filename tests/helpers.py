@@ -11,7 +11,7 @@ try:
 except ImportError:
     signal = None
 
-from fracadrc import AdrcConfig, DisturbanceSignal, FracPlant, loop_symbol
+from fracadrc import AdrcConfig, DisturbanceSignal, loop_symbol
 
 # Reference operating point used throughout the suite: the plant
 # 1/(s^0.8 + 10) under a K=150 outer loop with a 400 rad/s observer,
@@ -28,22 +28,9 @@ REF = {
 }
 
 
-def ref_plant(**overrides) -> FracPlant:
-    kw = {"a_o": REF["a_o"], "b_o": REF["b_o"], "mu": REF["mu"], "Ts": REF["Ts"]}
-    kw.update(overrides)
-    return FracPlant(**kw)
-
-
-def ref_config(**overrides) -> AdrcConfig:
-    kw = {
-        "K": REF["K"],
-        "omega_o": REF["omega_o"],
-        "b": REF["b"],
-        "Ts": REF["Ts"],
-        "horizon": REF["horizon"],
-    }
-    kw.update(overrides)
-    return AdrcConfig(**kw)
+def ref_loop(**overrides) -> AdrcConfig:
+    """The reference loop REF, with any AdrcConfig field overridden."""
+    return AdrcConfig(**{**REF, **overrides})
 
 
 @dataclass
@@ -91,10 +78,10 @@ def oustaloup(mu: float, band_low: float = 1e-2, band_high: float = 1e4,
     return Oustaloup(band_low, band_high, n_cells, zeros, poles, gain)
 
 
-def symbol_response(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
+def symbol_response(cfg: AdrcConfig, v_d: float = 1.0,
                     d: DisturbanceSignal | None = None) -> dict:
-    """The columns y, u, u0, z1, z2, q_hat of run_closed_loop(cfg, plant,
-    v_d, d), from the loop's symbol alone, in numpy only.
+    """The columns y, u, u0, z1, z2, q_hat of run_closed_loop(cfg, v_d=v_d,
+    d=d), from the loop's symbol alone, in numpy only.
 
     Contour inversion: the symbol is solved for an impulse reference and
     an impulse disturbance at 8n points on |zeta| = rho, rho**n = 1e-2, and
@@ -110,7 +97,7 @@ def symbol_response(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
     rhs = np.zeros((N, 5, 2), dtype=complex)
     rhs[:, 4, 0] = cfg.K      # control row: K*v
     rhs[:, 0, 1] = zeta       # plant row: zeta*d
-    solved = np.linalg.solve(loop_symbol(cfg, plant, zeta=zeta), rhs)
+    solved = np.linalg.solve(loop_symbol(cfg, zeta=zeta), rhs)
     h = np.fft.fft(solved, axis=0)[:n].real / N
     h /= (rho ** np.arange(n))[:, None, None]
     darr = (d or DisturbanceSignal()).render(np.arange(n) * cfg.Ts)
@@ -121,11 +108,11 @@ def symbol_response(cfg: AdrcConfig, plant: FracPlant, v_d: float = 1.0,
             "q_hat": q_hat}
 
 
-def compensated_object(cfg: AdrcConfig, plant: FracPlant, s) -> np.ndarray:
+def compensated_object(cfg: AdrcConfig, s) -> np.ndarray:
     """G = Y/U0 of the continuous loop at Laplace points `s`: the inner
     loop the outer law u0 = K*(v - z1) sees, so the control row drops its
     K*Z1 entry and reads b*U + Z2 + Q_hat = U0."""
-    M = loop_symbol(cfg, plant, s=s)
+    M = loop_symbol(cfg, s=s)
     M[..., 4, 1] = 0.0
     rhs = np.zeros(M.shape[:-1], dtype=complex)
     rhs[..., 4] = 1.0
@@ -155,12 +142,12 @@ def talbot(F, t, M: int = 32) -> np.ndarray:
     return (r[:, 0] / M) * np.sum(weight * np.exp(s * t) * F(s), axis=1).real
 
 
-def continuous_step(cfg: AdrcConfig, plant: FracPlant, t) -> np.ndarray:
+def continuous_step(cfg: AdrcConfig, t) -> np.ndarray:
     """y(t) of the paper's continuous loop (loop_symbol at Laplace points)
     for a unit-step reference V = 1/s, by Talbot inversion."""
     def Y(s):
         rhs = np.zeros(s.shape + (5,), dtype=complex)
         rhs[..., 4] = cfg.K / s   # control row: K*V
-        return np.linalg.solve(loop_symbol(cfg, plant, s=s),
+        return np.linalg.solve(loop_symbol(cfg, s=s),
                                rhs[..., None])[..., 0, 0]
     return talbot(Y, t)

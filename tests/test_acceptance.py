@@ -19,7 +19,6 @@ import pytest
 from fracadrc import (
     AdrcVariant,
     Feso,
-    FracPlant,
     Ieso,
     Ifeso,
     SimulationDiverged,
@@ -38,7 +37,7 @@ from fracadrc import (
     step_metrics,
 )
 
-from helpers import REF, delta, oustaloup, ref_config, ref_plant
+from helpers import REF, delta, oustaloup, ref_loop
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -213,11 +212,9 @@ def test_criterion_6_gain_robustness():
     t0 = time.perf_counter()
     worst = 0.0
     for variant in (AdrcVariant.FADRC, AdrcVariant.IFADRC):
-        cfg = ref_config(variant=variant)
         for scale in (0.5, 1.0, 2.0):
-            traj = run_closed_loop(cfg, FracPlant(REF["a_o"],
-                                                  REF["b_o"] * scale,
-                                                  REF["mu"], REF["Ts"]))
+            traj = run_closed_loop(ref_loop(variant=variant,
+                                            b_o=REF["b_o"] * scale))
             err = abs(float(traj.y[-1]) - 1.0)
             worst = max(worst, err)
     elapsed = time.perf_counter() - t0
@@ -317,10 +314,10 @@ def test_criterion_8_stability_concordance():
     agree = 0
     outcomes = []
     for mu, K, omega_o, a_o, b_o, predicted in _sample_configs(rng, 20):
-        cfg = ref_config(K=K, omega_o=omega_o, horizon=2.0)
-        plant = ref_plant(a_o=a_o, b_o=b_o, mu=mu)
+        cfg = ref_loop(K=K, omega_o=omega_o, a_o=a_o, b_o=b_o, mu=mu,
+                       horizon=2.0)
         try:
-            traj = run_closed_loop(cfg, plant, v_d=1.0)
+            traj = run_closed_loop(cfg, v_d=1.0)
             peak = float(np.max(np.abs(traj.y)))
             bounded = math.isfinite(peak) and peak < 1e6
         except SimulationDiverged:

@@ -15,10 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracadrc import Trajectory, cli, experiments, fracops, run_closed_loop
+from fracadrc import (FracPlant, Trajectory, cli, experiments, fracops,
+                      run_closed_loop)
 from fracadrc.cli import main
 
-from helpers import ref_config, ref_plant
+from helpers import ref_loop
 
 ROOT = Path(__file__).resolve().parents[1]
 REPRODUCE_ALL_REFERENCE = ROOT / "perfbench" / "reference" / "reproduce-all.json"
@@ -145,6 +146,30 @@ FLAG_RUNS = {"simulate": [], "sweep": ["--scales", "1"], "bode": [],
 PERTURBED = {"a_o": "12", "b_o": "1.2", "b": "1.2", "mu": "0.9", "K": "200",
              "omega_o": "500", "Ts": "0.00025", "horizon": "0.02",
              "variant": "iadrc"}
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--horizon", "0.05", "--a_o", "-1e1"],
+                 id="simulate--a_o"),
+    pytest.param(["simulate", "--horizon", "0.05", "--setpoint", "-2.5E-1"],
+                 id="simulate--setpoint"),
+    pytest.param(["sweep", "--scales", "1", "--horizon", "0.05", "--b_o",
+                  "-1e-1"], id="sweep--b_o"),
+    pytest.param(["stability", "--a_o", "-1e1"], id="stability--a_o"),
+    pytest.param(["bode", "--a_o", "-.5e1"], id="bode--a_o"),
+    pytest.param(["mse", "--a_o", "-1e1"], id="mse--a_o"),
+])
+def test_negative_value_in_exponent_form_follows_its_flag(tmp_path, argv):
+    # `--a_o -1e1` reads -1e1 as the value, as `--a_o=-1e1` does; both
+    # write into one directory, since manifest.json records it
+    *head, flag, value = argv
+    out = tmp_path / "out"
+    written = []
+    for given in ([flag, value], [f"{flag}={value}"]):
+        assert run_cli(*head, *given, "--output-dir", str(out)) == 0
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("command, key", [
@@ -344,7 +369,11 @@ def test_failed_root_check_is_one_error_line(tmp_path):
     (("mse", "--a_o", "1e200", "--points-per-decade", "1"), "mse_io"),
     (("bode", "--omega_o", "1e200"), "omega = 0.1 rad/s"),
     (("bode", "--omega-min", "1e-320"), "omega = 9.99989e-321 rad/s"),
-], ids=["stability", "stability-coefficient", "mse", "bode", "bode-omega-min"])
+    # more samples than one array holds
+    (("simulate", "--Ts", "1e-300"), "horizon 1.0 s at Ts 1e-300 s is 1e+300 "
+                                     "samples"),
+], ids=["stability", "stability-coefficient", "mse", "bode", "bode-omega-min",
+        "simulate-samples"])
 def test_overflow_is_one_error_line_and_writes_nothing(tmp_path, argv, cause):
     # in a subprocess, so that a numpy warning would reach stderr too; each
     # value is finite, but a square or a power of it overflows
@@ -412,7 +441,7 @@ def test_simulate_writes_trajectory_identical_to_library_run(tmp_path):
     assert csv_path.is_file()
     assert (tmp_path / "simulate" / "manifest.json").is_file()
 
-    direct = run_closed_loop(ref_config(horizon=0.25), ref_plant(), v_d=1.0)
+    direct = run_closed_loop(ref_loop(horizon=0.25), v_d=1.0)
     expected = tmp_path / "expected.csv"
     direct.to_csv(expected)
     assert csv_path.read_bytes() == expected.read_bytes()
@@ -809,19 +838,30 @@ def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, loops", [("fig4", 0), ("fig10", 1)])
+@pytest.mark.parametrize("argv, plants", [
+    pytest.param(["reproduce", "fig4"], 0, id="fig4-0"),
+    pytest.param(["reproduce", "fig10"], 0, id="fig10-0"),
+    pytest.param(["reproduce", "fig11"], 3, id="fig11-3"),
+    pytest.param(["reproduce", "all"], 9, id="all-9"),
+    pytest.param(["simulate", "--horizon", "0.01"], 1, id="simulate-1"),
+    pytest.param(["stability"], 0, id="stability-0"),
+    pytest.param(["bode"], 0, id="bode-0"),
+    pytest.param(["mse"], 0, id="mse-0"),
+    pytest.param(["sweep", "--scales", "0.5,1", "--horizon", "0.01"], 2,
+                 id="sweep-2"),
+])
 def test_reproduce_builds_no_loop_it_does_not_run(tmp_path, monkeypatch,
-                                                  experiment, loops):
-    # reproduce resolves no parameters: fig4 needs no loop, and fig10 builds
-    # the one it sector-tests
-    calls = []
-    make_loop = experiments.make_loop
-    for module in (cli, experiments):
-        monkeypatch.setattr(module, "make_loop",
-                            lambda params: calls.append(params)
-                            or make_loop(params))
-    assert run_cli("reproduce", experiment, "--output-dir", str(tmp_path)) == 0
-    assert len(calls) == loops
+                                                  argv, plants):
+    # every command builds one plant stepper per run it simulates and no
+    # other: a sector test and the closed forms step no plant, and
+    # reproduce all simulates fig12-fig14's scale-1 loops once, in fig11
+    built = []
+    init = FracPlant.__init__
+    monkeypatch.setattr(FracPlant, "__init__",
+                        lambda self, *args: built.append(args)
+                        or init(self, *args))
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 0
+    assert len(built) == plants
 
 
 def test_reproduce_rejects_unknown_id(tmp_path, capsys):

@@ -32,8 +32,7 @@ from fracadrc.artifacts import CSV_BLOCK_ROWS
 from fracadrc.control import DIVERGENCE_LIMIT, TRAJECTORY_COLUMNS
 from fracadrc.experiments import trajectory_files
 
-from helpers import (REF, continuous_step, ref_config, ref_plant,
-                     symbol_response, talbot)
+from helpers import REF, continuous_step, ref_loop, symbol_response, talbot
 
 
 # ---------------------------------------------------------------------------
@@ -42,71 +41,95 @@ from helpers import (REF, continuous_step, ref_config, ref_plant,
 
 
 def test_zero_reference_stays_at_rest():
-    traj = run_closed_loop(ref_config(horizon=0.1), ref_plant(), v_d=0.0)
+    traj = run_closed_loop(ref_loop(horizon=0.1), v_d=0.0)
     for arr in (traj.y, traj.u, traj.u0, traj.z1, traj.z2, traj.q_hat):
         assert np.max(np.abs(arr)) == 0.0
 
 
 def test_simulation_is_deterministic():
-    a = run_closed_loop(ref_config(horizon=0.1), ref_plant(), v_d=1.0)
-    b = run_closed_loop(ref_config(horizon=0.1), ref_plant(), v_d=1.0)
+    a = run_closed_loop(ref_loop(horizon=0.1), v_d=1.0)
+    b = run_closed_loop(ref_loop(horizon=0.1), v_d=1.0)
     for name in ("t", "v_d", "y", "u", "u0", "z1", "z2", "q_hat", "d"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_trajectory_length_and_grid():
-    cfg = ref_config(horizon=0.1)
-    traj = run_closed_loop(cfg, ref_plant(), v_d=1.0)
+    cfg = ref_loop(horizon=0.1)
+    traj = run_closed_loop(cfg, v_d=1.0)
     assert traj.t.size == int(round(0.1 / cfg.Ts))
     np.testing.assert_allclose(np.diff(traj.t), cfg.Ts, rtol=1e-9)
     assert traj.Ts == cfg.Ts
 
 
-def test_requires_fresh_plant():
-    plant = ref_plant()
-    plant.step(1.0)
-    with pytest.raises(ValueError, match="fresh"):
-        run_closed_loop(ref_config(horizon=0.01), plant)
-
-
 def test_requires_matching_sample_time():
     with pytest.raises(ValueError, match="Ts"):
-        run_closed_loop(ref_config(horizon=0.01), ref_plant(Ts=1e-3))
+        run_closed_loop(ref_loop(horizon=0.01),
+                        FracPlant(10.0, 1.0, 0.8, 1e-3))
+
+
+def _outcome(*args, **kwargs):
+    """The bytes of every column of run_closed_loop(*args, **kwargs), or
+    where and how it diverged."""
+    try:
+        traj = run_closed_loop(*args, **kwargs)
+    except SimulationDiverged as exc:
+        return exc.step_index, exc.value
+    return [getattr(traj, name).tobytes() for name in TRAJECTORY_COLUMNS]
+
+
+@pytest.mark.parametrize("plant, d", [
+    pytest.param({"a_o": 10.0, "b_o": 2.0, "mu": 0.73}, None,
+                 id="mu-0.73-b_o-2"),
+    pytest.param({"a_o": 10.0, "b_o": 1.0, "mu": 0.8},
+                 DisturbanceSignal.step(-1.5, 0.02), id="step-disturbance"),
+])
+@pytest.mark.parametrize("variant", list(AdrcVariant))
+def test_a_passed_plant_runs_as_the_one_loop_value(variant, plant, d):
+    # the call form of the benchmark harness: a config of the controller
+    # fields with a plant beside it runs the loop that holds both, bit for bit
+    cfg = AdrcConfig(variant=variant, K=REF["K"], omega_o=REF["omega_o"],
+                     b=REF["b"], Ts=REF["Ts"], horizon=0.05)
+    passed = _outcome(cfg, FracPlant(Ts=REF["Ts"], **plant), v_d=1.0, d=d)
+    assert passed == _outcome(ref_loop(variant=variant, horizon=0.05, **plant),
+                              v_d=1.0, d=d)
 
 
 def test_horizon_must_hold_two_samples():
     # the step metrics of a run take a numerical gradient of y
     with pytest.raises(ValueError, match="shorter than two samples"):
-        run_closed_loop(ref_config(horizon=REF["Ts"]), ref_plant())
-    assert len(run_closed_loop(ref_config(horizon=2 * REF["Ts"]),
-                               ref_plant())) == 2
+        run_closed_loop(ref_loop(horizon=REF["Ts"]))
+    assert len(run_closed_loop(ref_loop(horizon=2 * REF["Ts"]))) == 2
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ref_config(horizon=0.0)
+        ref_loop(horizon=0.0)
     with pytest.raises(ValueError):
-        ref_config(K=-1.0)
+        ref_loop(K=-1.0)
     with pytest.raises(ValueError):
-        ref_config(omega_o=0.0)
+        ref_loop(omega_o=0.0)
     with pytest.raises(ValueError):
-        ref_config(b=0.0)
+        ref_loop(b=0.0)
     with pytest.raises(ValueError):
-        ref_config(variant=None)
+        ref_loop(variant=None)
     with pytest.raises(ValueError):
-        ref_config(variant=5)
+        ref_loop(variant=5)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize("build", [
-    pytest.param(lambda v: ref_config(K=v), id="AdrcConfig.K"),
-    pytest.param(lambda v: ref_config(omega_o=v), id="AdrcConfig.omega_o"),
-    pytest.param(lambda v: ref_config(Ts=v), id="AdrcConfig.Ts"),
-    pytest.param(lambda v: ref_config(horizon=v), id="AdrcConfig.horizon"),
-    pytest.param(lambda v: ref_config(b=v), id="AdrcConfig.b"),
-    pytest.param(lambda v: ref_plant(a_o=v), id="FracPlant.a_o"),
-    pytest.param(lambda v: ref_plant(b_o=v), id="FracPlant.b_o"),
-    pytest.param(lambda v: ref_plant(Ts=v), id="FracPlant.Ts"),
+    pytest.param(lambda v: ref_loop(K=v), id="AdrcConfig.K"),
+    pytest.param(lambda v: ref_loop(omega_o=v), id="AdrcConfig.omega_o"),
+    pytest.param(lambda v: ref_loop(Ts=v), id="AdrcConfig.Ts"),
+    pytest.param(lambda v: ref_loop(horizon=v), id="AdrcConfig.horizon"),
+    pytest.param(lambda v: ref_loop(b=v), id="AdrcConfig.b"),
+    pytest.param(lambda v: ref_loop(a_o=v), id="AdrcConfig.a_o"),
+    pytest.param(lambda v: ref_loop(b_o=v), id="AdrcConfig.b_o"),
+    pytest.param(lambda v: FracPlant(10.0, 1.0, 0.8, v), id="FracPlant.Ts"),
+    pytest.param(lambda v: FracPlant(v, 1.0, 0.8, REF["Ts"]),
+                 id="FracPlant.a_o"),
+    pytest.param(lambda v: FracPlant(10.0, v, 0.8, REF["Ts"]),
+                 id="FracPlant.b_o"),
     pytest.param(bandwidth_gains, id="bandwidth_gains"),
     pytest.param(lambda v: Ieso(v, 1.0, REF["Ts"]), id="Ieso.omega_o"),
     pytest.param(lambda v: Feso(v, 1.0, 0.8, REF["Ts"]), id="Feso.omega_o"),
@@ -117,8 +140,7 @@ def test_config_validation():
                  id="DisturbanceSignal.frequency"),
     pytest.param(lambda v: DisturbanceSignal.step(1.0, v),
                  id="DisturbanceSignal.onset"),
-    pytest.param(lambda v: run_closed_loop(ref_config(horizon=0.001),
-                                           ref_plant(), v_d=v),
+    pytest.param(lambda v: run_closed_loop(ref_loop(horizon=0.001), v_d=v),
                  id="run_closed_loop.v_d"),
     pytest.param(lambda v: Ieso(400.0, 1.0, v), id="Ieso.Ts"),
     pytest.param(lambda v: Feso(400.0, 1.0, 0.8, v), id="Feso.Ts"),
@@ -143,7 +165,7 @@ def test_each_variant_runs_its_own_observer(monkeypatch):
                 AdrcVariant.IFADRC: Ifeso}
     for variant, cls in expected.items():
         seen.clear()
-        run_closed_loop(ref_config(variant=variant, horizon=0.001), ref_plant())
+        run_closed_loop(ref_loop(variant=variant, horizon=0.001))
         assert seen == [cls] * 8  # 1 ms at 8 kHz
 
 
@@ -159,8 +181,8 @@ def test_loop_arithmetic_stays_in_python_floats(monkeypatch):
 
     observers = []
 
-    def spy_observer(cfg, plant, make=control._observer):
-        observers.append(make(cfg, plant))
+    def spy_observer(cfg, make=control._observer):
+        observers.append(make(cfg))
         return observers[-1]
 
     monkeypatch.setattr(FracPlant, "step", spy_step)
@@ -168,23 +190,21 @@ def test_loop_arithmetic_stays_in_python_floats(monkeypatch):
     gains = {name: np.float64(REF[name]) for name in ("K", "omega_o", "b")}
     for variant in AdrcVariant:
         disturbances.clear()
-        run_closed_loop(ref_config(variant=variant, horizon=0.01, **gains),
-                        ref_plant(), d=DisturbanceSignal.step(0.5, 0.005))
+        run_closed_loop(ref_loop(variant=variant, horizon=0.01, **gains),
+                        d=DisturbanceSignal.step(0.5, 0.005))
         assert disturbances == [float] * 80
         obs = observers[-1]
         assert [type(obs.z1), type(obs.z2), type(obs.q_hat), type(obs.beta1),
                 type(obs.beta2)] == [float] * 5
-    cfg = AdrcConfig(K=np.float64(150.0), omega_o=np.float64(400.0),
-                     b=np.float64(1.0), Ts=np.float64(REF["Ts"]),
-                     horizon=np.float64(1.0))
-    for name in ("K", "omega_o", "b", "Ts", "horizon"):
+    cfg = AdrcConfig(**{name: np.float64(value)
+                        for name, value in REF.items()})
+    for name in REF:
         assert type(getattr(cfg, name)) is float
 
 
 def test_disturbance_must_be_a_signal():
     with pytest.raises(TypeError, match="DisturbanceSignal"):
-        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
-                        d=np.zeros(80))
+        run_closed_loop(ref_loop(horizon=0.01), d=np.zeros(80))
 
 
 NYQUIST = math.pi / REF["Ts"]
@@ -199,14 +219,14 @@ def test_sinusoid_at_or_above_nyquist_fails_before_any_step(monkeypatch,
     monkeypatch.setattr(FracPlant, "step",
                         lambda self, u, d=0.0: steps.append(d) or 0.0)
     with pytest.raises(ValueError, match="Nyquist limit pi/Ts"):
-        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+        run_closed_loop(ref_loop(horizon=0.01),
                         d=DisturbanceSignal.sinusoid(1.0, frequency))
     assert not steps
 
 
 def test_sinusoid_just_below_nyquist_runs():
     below = math.nextafter(NYQUIST, 0.0)
-    traj = run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+    traj = run_closed_loop(ref_loop(horizon=0.01),
                            d=DisturbanceSignal.sinusoid(1.0, below))
     np.testing.assert_array_equal(traj.d, np.sin(below * traj.t))
 
@@ -215,7 +235,7 @@ LAST_SAMPLE = 79 * REF["Ts"]  # a 10 ms run at 8 kHz: samples 0 .. 79
 
 
 def test_step_onset_at_the_last_sample_runs():
-    traj = run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+    traj = run_closed_loop(ref_loop(horizon=0.01),
                            d=DisturbanceSignal.step(0.5, LAST_SAMPLE))
     assert traj.t[-1] == LAST_SAMPLE
     assert traj.d.tolist() == [0.0] * 79 + [0.5]
@@ -227,14 +247,14 @@ def test_step_onset_after_the_last_sample_fails_before_any_step(monkeypatch):
                         lambda self, u, d=0.0: steps.append(d) or 0.0)
     onset = math.nextafter(LAST_SAMPLE, 1.0)
     with pytest.raises(ValueError, match="after the last sample time"):
-        run_closed_loop(ref_config(horizon=0.01), ref_plant(),
+        run_closed_loop(ref_loop(horizon=0.01),
                         d=DisturbanceSignal.step(0.5, onset))
     assert not steps
 
 
 def test_divergence_raises_with_step_index():
     with pytest.raises(SimulationDiverged) as exc:
-        run_closed_loop(ref_config(horizon=0.5), ref_plant(b_o=-1.0))
+        run_closed_loop(ref_loop(horizon=0.5, b_o=-1.0))
     assert exc.value.step_index > 0
     assert "diverged at step" in str(exc.value)
     assert "np.float64" not in str(exc.value)  # plain-float message
@@ -251,7 +271,7 @@ def test_divergence_is_caught_at_the_first_output_out_of_bounds(monkeypatch,
     monkeypatch.setattr(FracPlant, "step",
                         lambda self, u, d=0.0: next(outputs, 0.0))
     with pytest.raises(SimulationDiverged) as exc:
-        run_closed_loop(ref_config(horizon=0.01), ref_plant())
+        run_closed_loop(ref_loop(horizon=0.01))
     assert exc.value.step_index == 2
     assert type(exc.value.value) is float
     assert (exc.value.value == beyond
@@ -264,7 +284,7 @@ def test_divergence_is_caught_at_the_first_output_out_of_bounds(monkeypatch,
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    traj = run_closed_loop(ref_config(horizon=0.02), ref_plant(), v_d=1.0)
+    traj = run_closed_loop(ref_loop(horizon=0.02), v_d=1.0)
     path = tmp_path / "traj.csv"
     traj.to_csv(path)
     header = path.read_text().splitlines()[0]
@@ -321,7 +341,7 @@ def test_improved_variant_observer_tracks_output(ref_trio):
 
 def test_improved_variant_estimates_lumped_disturbance(ref_trio):
     traj = ref_trio["ifadrc"]["trajectory"]
-    rec = reconstruct_disturbances(traj, ref_plant(), b=REF["b"])
+    rec = reconstruct_disturbances(traj, ref_loop())
     settled = traj.t >= 0.05
     truth = rec["f_ifo"][settled]
     err = traj.z2[settled] - truth
@@ -340,9 +360,9 @@ def test_compensated_loop_behaves_first_order(ref_trio):
 
 
 def test_step_disturbance_is_rejected():
-    cfg = ref_config(horizon=1.0)
+    cfg = ref_loop(horizon=1.0)
     dist = DisturbanceSignal(kind="step", amplitude=1.0, onset=0.5)
-    traj = run_closed_loop(cfg, ref_plant(), v_d=1.0, d=dist)
+    traj = run_closed_loop(cfg, v_d=1.0, d=dist)
     after = traj.t >= 0.5
     assert np.max(np.abs(traj.y[after] - 1.0)) < 0.01
     assert abs(traj.y[-1] - 1.0) < 1e-6
@@ -361,8 +381,7 @@ LONG_RUN_SHA256 = {
 def test_runs_past_the_near_window_keep_their_bits():
     produced = {}
     for variant in LONG_RUN_SHA256:
-        traj = run_closed_loop(ref_config(variant=variant, horizon=2.05),
-                               ref_plant())
+        traj = run_closed_loop(ref_loop(variant=variant, horizon=2.05))
         assert traj.y.size == 16_400
         digest = hashlib.sha256()
         for column in (traj.y, traj.z1, traj.z2, traj.q_hat):
@@ -388,8 +407,8 @@ def scaled_runs(outdir, horizon: float, scales) -> list[Trajectory]:
 
 
 def test_unit_scale_sweep_matches_single_run(tmp_path):
-    cfg = ref_config(horizon=0.1)
-    single = run_closed_loop(cfg, ref_plant(), v_d=1.0)
+    cfg = ref_loop(horizon=0.1)
+    single = run_closed_loop(cfg, v_d=1.0)
     (swept,) = scaled_runs(tmp_path, 0.1, [1.0])
     np.testing.assert_array_equal(single.y, swept.y)
     np.testing.assert_array_equal(single.u, swept.u)
@@ -411,10 +430,10 @@ def test_sweep_returns_one_trajectory_per_scale(tmp_path):
 @pytest.mark.parametrize("variant", [AdrcVariant.FADRC, AdrcVariant.IFADRC])
 def test_fractional_variants_reduce_to_integer_variant(variant):
     mu = 1.0 - 1e-12
-    cfg_int = ref_config(variant=AdrcVariant.IADRC, horizon=0.25)
-    base = run_closed_loop(cfg_int, ref_plant(mu=mu), v_d=1.0)
-    cfg = ref_config(variant=variant, horizon=0.25)
-    other = run_closed_loop(cfg, ref_plant(mu=mu), v_d=1.0)
+    base = run_closed_loop(ref_loop(variant=AdrcVariant.IADRC, mu=mu,
+                                    horizon=0.25), v_d=1.0)
+    other = run_closed_loop(ref_loop(variant=variant, mu=mu, horizon=0.25),
+                            v_d=1.0)
     rms = np.sqrt(np.mean((other.y - base.y) ** 2))
     assert rms < 1e-6
 
@@ -438,8 +457,7 @@ def test_smallest_stable_sampling_rate(variant, mu):
     def run(rate, horizon):
         Ts = 1.0 / rate
         return run_closed_loop(
-            ref_config(variant=variant, Ts=Ts, horizon=horizon),
-            ref_plant(mu=mu, Ts=Ts))
+            ref_loop(variant=variant, Ts=Ts, horizon=horizon, mu=mu))
 
     rate = STABLE_RATES[variant][mu]
     with pytest.raises(SimulationDiverged):
@@ -458,9 +476,9 @@ def test_smallest_stable_sampling_rate(variant, mu):
 def test_simulator_is_its_symbol(variant, d):
     # The symbol's rows, inverted on a contour, give every column of the
     # run; measured within 2.3e-13 of each column's max_abs.
-    cfg = ref_config(variant=variant)
-    traj = run_closed_loop(cfg, ref_plant(), v_d=1.0, d=d)
-    _assert_is_symbol(traj, symbol_response(cfg, ref_plant(), v_d=1.0, d=d))
+    cfg = ref_loop(variant=variant)
+    traj = run_closed_loop(cfg, v_d=1.0, d=d)
+    _assert_is_symbol(traj, symbol_response(cfg, v_d=1.0, d=d))
 
 
 @settings(max_examples=25)
@@ -473,17 +491,15 @@ def test_random_loops_are_their_symbol(variant, mu, K, omega_o, a_o, b_o, fs,
                                        amplitude, onset):
     # every loop that does not diverge within 0.1 s matches its symbol's
     # response; `onset` is the step's time as a fraction of the last sample
-    cfg = ref_config(variant=variant, K=K, omega_o=omega_o, Ts=1.0 / fs,
-                     horizon=0.1)
-    plant = {"a_o": a_o, "b_o": b_o, "mu": mu, "Ts": cfg.Ts}
+    cfg = ref_loop(variant=variant, K=K, omega_o=omega_o, a_o=a_o, b_o=b_o,
+                   mu=mu, Ts=1.0 / fs, horizon=0.1)
     d = DisturbanceSignal.step(amplitude,
                                onset=onset * (cfg.samples() - 1) * cfg.Ts)
     try:
-        traj = run_closed_loop(cfg, ref_plant(**plant), v_d=1.0, d=d)
+        traj = run_closed_loop(cfg, v_d=1.0, d=d)
     except SimulationDiverged:
         return
-    _assert_is_symbol(traj, symbol_response(cfg, ref_plant(**plant), v_d=1.0,
-                                            d=d))
+    _assert_is_symbol(traj, symbol_response(cfg, v_d=1.0, d=d))
 
 
 def _assert_is_symbol(traj: Trajectory, oracle: dict) -> None:
@@ -497,12 +513,12 @@ def _assert_is_symbol(traj: Trajectory, oracle: dict) -> None:
 
 
 def test_loop_symbol_takes_exactly_one_kind_of_point():
-    cfg, plant = ref_config(), ref_plant()
+    cfg = ref_loop()
     with pytest.raises(ValueError, match="exactly one"):
-        loop_symbol(cfg, plant)
+        loop_symbol(cfg)
     with pytest.raises(ValueError, match="exactly one"):
-        loop_symbol(cfg, plant, zeta=0.5, s=1j)
-    assert loop_symbol(cfg, plant, zeta=np.zeros((2, 3))).shape == (2, 3, 5, 5)
+        loop_symbol(cfg, zeta=0.5, s=1j)
+    assert loop_symbol(cfg, zeta=np.zeros((2, 3))).shape == (2, 3, 5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +532,7 @@ TWIN_MS = np.arange(1, 500)
 @pytest.fixture(scope="module")
 def continuous_twins():
     """y(t) of each variant's continuous loop at TWIN_MS, reference point."""
-    return {v.value: continuous_step(ref_config(variant=v), ref_plant(),
+    return {v.value: continuous_step(ref_loop(variant=v),
                                      TWIN_MS * 1e-3) for v in AdrcVariant}
 
 
@@ -541,9 +557,8 @@ def test_discretization_error_is_first_order(variant, ref_trio,
                                              continuous_twins):
     # max |y_sim - y_cont| at 8 and 32 kHz; measured 1.4e-2 / 2.8e-2 / 1.0e-2
     # at 8 kHz for iadrc / fadrc / ifadrc, and ratios 4.05 / 3.99 / 3.96
-    fast = run_closed_loop(ref_config(variant=variant, Ts=1.0 / 32000,
-                                      horizon=0.5),
-                           ref_plant(Ts=1.0 / 32000), v_d=1.0)
+    fast = run_closed_loop(ref_loop(variant=variant, Ts=1.0 / 32000,
+                                    horizon=0.5), v_d=1.0)
     y_cont = continuous_twins[variant]
     err_8k = np.max(np.abs(ref_trio[variant]["trajectory"].y[8 * TWIN_MS]
                            - y_cont))

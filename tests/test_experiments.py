@@ -103,7 +103,8 @@ def test_gain_sweep_experiment_alone_simulates_every_scale(tmp_path,
     calls = []
     run = experiments.run_closed_loop
     monkeypatch.setattr(experiments, "run_closed_loop",
-                        lambda *args: calls.append(args) or run(*args))
+                        lambda *args, **kw: calls.append(args)
+                        or run(*args, **kw))
     run_experiment("fig11", tmp_path / "earlier")
     calls.clear()
     run_experiment("fig12", tmp_path)
@@ -121,7 +122,8 @@ def test_trajectory_files_simulates_each_loop_once(tmp_path, monkeypatch):
     calls = []
     run = experiments.run_closed_loop
     monkeypatch.setattr(experiments, "run_closed_loop",
-                        lambda *args: calls.append(args) or run(*args))
+                        lambda *args, **kw: calls.append(args)
+                        or run(*args, **kw))
     point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
     runs, data = {}, {}
     experiments.trajectory_files(tmp_path / "a", runs, data, [

@@ -22,7 +22,7 @@ from fracadrc import (
 )
 from fracadrc.experiments import MSE_BASE, MSE_GRID
 
-from helpers import compensated_object, delta, ref_plant
+from helpers import compensated_object, delta
 
 # in the argument order of g_io and g_ifio
 PARAMS = dict(a_o=10.0, b_o=1.0, b=1.0, mu=0.8, omega_o=400.0)
@@ -254,11 +254,11 @@ def test_closed_forms_are_the_continuous_loop_symbol(mu):
     a_o, omega_o = MSE_BASE["a_o"], MSE_BASE["omega_o"]
     grid = log_grid(*MSE_GRID)
     s = 1j * grid
-    plant = ref_plant(a_o=a_o, b_o=1.0, mu=mu)
     for variant, g, mse in (("iadrc", g_io, mse_io),
                             ("ifadrc", g_ifio, mse_ifio)):
-        cfg = AdrcConfig(variant=variant, omega_o=omega_o, b=1.0)
-        G = compensated_object(cfg, plant, s)
+        cfg = AdrcConfig(variant=variant, omega_o=omega_o, b=1.0, a_o=a_o,
+                         b_o=1.0, mu=mu)
+        G = compensated_object(cfg, s)
         closed = np.array([g(a_o, 1.0, 1.0, mu, omega_o, p) for p in s])
         np.testing.assert_allclose(G, closed, rtol=1e-11, atol=0)
         np.testing.assert_allclose(np.abs(1.0 - s * G) ** 2,

@@ -17,7 +17,7 @@ from fracadrc import (
     run_closed_loop,
 )
 
-from helpers import REF, ref_config, ref_plant, talbot
+from helpers import REF, ref_loop, talbot
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def test_tf_self_consistency(omega, a_o, b_o, mu):
 
 
 def test_zero_input_stays_at_rest():
-    plant = ref_plant()
+    plant = FracPlant(REF["a_o"], REF["b_o"], REF["mu"], REF["Ts"])
     ys = [plant.step(0.0) for _ in range(200)]
     assert max(abs(v) for v in ys) == 0.0
 
@@ -99,7 +99,7 @@ def test_step_response_error_is_first_order():
                    n / 8000.0)
     err = {}
     for fs in (8000, 32000):
-        plant = ref_plant(Ts=1.0 / fs)
+        plant = FracPlant(REF["a_o"], REF["b_o"], REF["mu"], 1.0 / fs)
         y = np.array([plant.step(1.0) for _ in range(fs)])
         err[fs] = np.abs(y[n * (fs // 8000) - 1] - exact)
     elapsed = time.perf_counter() - t0
@@ -111,8 +111,8 @@ def test_step_response_error_is_first_order():
 
 
 def test_gain_scaling_scales_output():
-    base = ref_plant()
-    doubled = ref_plant(b_o=2.0 * REF["b_o"])
+    base = FracPlant(REF["a_o"], REF["b_o"], REF["mu"], REF["Ts"])
+    doubled = FracPlant(REF["a_o"], 2.0 * REF["b_o"], REF["mu"], REF["Ts"])
     assert doubled.b_o == pytest.approx(2.0 * REF["b_o"])
     y1 = [base.step(1.0) for _ in range(50)]
     y2 = [doubled.step(1.0) for _ in range(50)]
@@ -205,26 +205,22 @@ def test_disturbance_rejects_a_sinusoid_of_zero_frequency():
 # ---------------------------------------------------------------------------
 
 
-def _closed_loop_record(**plant_overrides):
-    cfg = ref_config(horizon=0.25)
-    plant = ref_plant(**plant_overrides)
-    traj = run_closed_loop(cfg, plant, v_d=1.0)
-    fresh = ref_plant(**plant_overrides)
-    return traj, fresh
+def _closed_loop_record(**overrides):
+    cfg = ref_loop(horizon=0.25, **overrides)
+    return run_closed_loop(cfg, v_d=1.0), cfg
 
 
 def test_no_model_error_means_no_disturbance():
     # a_o = 0 with matched gain leaves nothing for the observer to lump.
-    traj, fresh = _closed_loop_record(a_o=0.0)
-    rec = reconstruct_disturbances(traj, fresh, b=1.0)
+    rec = reconstruct_disturbances(*_closed_loop_record(a_o=0.0))
     assert np.max(np.abs(rec["f_ifo"])) < 1e-12
 
 
 def test_integer_view_disturbance_is_pole_feedback():
     # With matched gain and no injected disturbance the lumped term seen
     # by the fractional-embedding view is exactly -a_o * y.
-    traj, fresh = _closed_loop_record()
-    rec = reconstruct_disturbances(traj, fresh, b=1.0)
+    traj, cfg = _closed_loop_record()
+    rec = reconstruct_disturbances(traj, cfg)
     np.testing.assert_allclose(
         rec["f_ifo"], -REF["a_o"] * traj.y, rtol=1e-9, atol=1e-9
     )
@@ -234,15 +230,14 @@ def test_order_mismatch_term_vanishes_at_integer_order():
     # q mixes a central-difference estimate of ydot with the GL fractional
     # derivative, so it is only meaningful once the step transient has
     # smoothed out; after that it collapses with the order mismatch.
-    traj, fresh = _closed_loop_record(mu=1.0 - 1e-9)
-    rec = reconstruct_disturbances(traj, fresh, b=1.0)
+    traj, cfg = _closed_loop_record(mu=1.0 - 1e-9)
+    rec = reconstruct_disturbances(traj, cfg)
     settled = traj.t >= 0.1
     assert np.max(np.abs(rec["q"][settled])) < 1e-3
 
 
 def test_integer_view_is_embedding_view_plus_order_term():
-    traj, fresh = _closed_loop_record()
-    rec = reconstruct_disturbances(traj, fresh, b=1.0)
+    rec = reconstruct_disturbances(*_closed_loop_record())
     np.testing.assert_allclose(
         rec["f_io"], rec["f_ifo"] + rec["q"], rtol=1e-12, atol=1e-12
     )
@@ -250,9 +245,7 @@ def test_integer_view_is_embedding_view_plus_order_term():
 
 def test_gain_mismatch_enters_lumped_terms():
     # With b != b_o the (b_o - b) * u component must appear in every view.
-    cfg = ref_config(horizon=0.25, b=0.5)
-    plant = ref_plant()
-    traj = run_closed_loop(cfg, plant, v_d=1.0)
-    rec = reconstruct_disturbances(traj, ref_plant(), b=0.5)
+    traj, cfg = _closed_loop_record(b=0.5)
+    rec = reconstruct_disturbances(traj, cfg)
     expected = -REF["a_o"] * traj.y + (REF["b_o"] - 0.5) * traj.u
     np.testing.assert_allclose(rec["f_ifo"], expected, rtol=1e-9, atol=1e-9)

@@ -22,7 +22,7 @@ from fracadrc import (
     sector_test,
 )
 
-from helpers import ref_config, ref_plant
+from helpers import ref_loop
 
 REF = dict(b=1.0, b_o=1.0, a_o=10.0, K=150.0, omega_o=400.0, p=4, q_den=5)
 
@@ -193,22 +193,21 @@ def test_margin_invariant_under_coefficient_scaling(scale):
 
 def test_matched_loop_never_destabilizes_with_gain():
     for K in (0.01, 150.0, 1e9):
-        assert loop_sector_test(ref_config(K=K), ref_plant())[1].stable
+        assert loop_sector_test(ref_loop(K=K))[1].stable
 
 
 def test_everywhere_unstable_loop_fails_at_sweep_floor():
-    assert not loop_sector_test(ref_config(K=0.01),
-                                ref_plant(a_o=-2000.0))[1].stable
+    assert not loop_sector_test(ref_loop(K=0.01, a_o=-2000.0))[1].stable
 
 
 @pytest.mark.parametrize("mu", [0.6, 0.73, 0.8, 0.87])
 def test_loop_gate_matches_its_composition(mu):
     # the steps the gate composes, spelled out from the loop's parameters
-    cfg, plant = ref_config(), ref_plant(mu=mu)
-    poly, report = loop_sector_test(cfg, plant)
+    cfg = ref_loop(mu=mu)
+    poly, report = loop_sector_test(cfg)
     p, q_den = rationalize_order(mu)
     beta1, beta2 = bandwidth_gains(cfg.omega_o)
-    expected = build_char_poly(cfg.b, plant.b_o, plant.a_o, cfg.K, beta1,
+    expected = build_char_poly(cfg.b, cfg.b_o, cfg.a_o, cfg.K, beta1,
                                beta2, p, q_den)
     np.testing.assert_array_equal(poly.coeffs, expected.coeffs)
     assert (poly.p, poly.q_den) == (p, q_den)
@@ -256,7 +255,7 @@ def test_sparse_scale_is_the_dense_table_bit_for_bit():
     # sparse one; mu = 1/60 has a root near 810
     tiny = np.zeros(301)
     tiny[[0, 300]] = 1.0, 1e-300
-    large, _ = loop_sector_test(ref_config(), ref_plant(mu=1 / 60))
+    large, _ = loop_sector_test(ref_loop(mu=1 / 60))
     roots = np.r_[20.0, 20j, -1.5 + 0.5j, 0.3, 810.0, 1e10j]
     for c in (tiny, large.coeffs):
         np.testing.assert_array_equal(
@@ -266,7 +265,7 @@ def test_sparse_scale_is_the_dense_table_bit_for_bit():
 
 @pytest.mark.parametrize("mu", [0.6, 0.8, 0.73])
 def test_broadcast_residuals_match_the_per_root_loop(mu):
-    poly, _ = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    poly, _ = loop_sector_test(ref_loop(mu=mu))
     roots = np.roots(poly.coeffs[::-1])
     np.testing.assert_array_equal(
         stability._normalized_residuals(poly.coeffs, roots),
@@ -284,7 +283,7 @@ def test_sector_test_takes_its_roots_from_poly_roots(monkeypatch, mu):
         return calls[-1]
 
     monkeypatch.setattr(stability, "poly_roots", counted)
-    _, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    _, report = loop_sector_test(ref_loop(mu=mu))
     assert len(calls) == 1
     assert report.roots is calls[0][0]
     assert report.residuals is calls[0][1]
@@ -292,7 +291,7 @@ def test_sector_test_takes_its_roots_from_poly_roots(monkeypatch, mu):
 
 @pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273)])
 def test_report_carries_its_own_roots_residuals(mu, degree):
-    poly, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    poly, report = loop_sector_test(ref_loop(mu=mu))
     assert poly.degree == degree
     roots, residuals = poly_roots(poly)
     np.testing.assert_array_equal(report.roots, roots)
@@ -309,8 +308,8 @@ def test_report_carries_its_own_roots_residuals(mu, degree):
                                              (150.0, -1.0, 400.0)])
 def test_aberth_roots_match_the_eigenvalues(monkeypatch, mu, K, b_o,
                                             omega_o):
-    poly, report = loop_sector_test(ref_config(K=K, omega_o=omega_o),
-                                    ref_plant(mu=mu, b_o=b_o))
+    poly, report = loop_sector_test(
+        ref_loop(K=K, omega_o=omega_o, mu=mu, b_o=b_o))
     assert poly.degree >= stability.ABERTH_MIN_DEGREE
     assert stability._aberth_roots(poly.coeffs) is not None
     (roots, _), eig = poly_roots(poly), np.roots(poly.coeffs[::-1])
@@ -331,8 +330,8 @@ def test_aberth_roots_match_the_eigenvalues(monkeypatch, mu, K, b_o,
                                              (10.0, 2.0, 3000.0),
                                              (150.0, -1.0, 400.0)])
 def test_aberth_roots_take_the_sparse_newton_polish(mu, K, b_o, omega_o):
-    poly, report = loop_sector_test(ref_config(K=K, omega_o=omega_o),
-                                    ref_plant(mu=mu, b_o=b_o))
+    poly, report = loop_sector_test(
+        ref_loop(K=K, omega_o=omega_o, mu=mu, b_o=b_o))
     c, k = poly.coeffs, np.arange(poly.coeffs.size)
     z = stability._aberth_roots(c)
     assert z is not None
@@ -367,7 +366,7 @@ def test_double_root_falls_back_to_the_eigenvalues(monkeypatch):
 
 
 def test_inclusion_disks_reject_a_repeated_approximation():
-    poly, _ = loop_sector_test(ref_config(), ref_plant(mu=0.73))
+    poly, _ = loop_sector_test(ref_loop(mu=0.73))
     roots, _ = poly_roots(poly)
     assert stability._disks_disjoint(poly.coeffs, roots)
     twice = roots.copy()
@@ -393,14 +392,14 @@ def test_huge_gain_fails_the_root_check_at_degree_14():
     # np.roots puts nine of the fourteen roots at exactly 0, with residual
     # 0.995; the other five once overflowed to NaN residuals that hid them
     with pytest.raises(ArithmeticError, match="residual 9.950e-01"):
-        loop_sector_test(ref_config(K=1e200), ref_plant())
+        loop_sector_test(ref_loop(K=1e200))
 
 
 def test_huge_gain_solves_on_the_scaled_aberth_path():
     # the nonzero terms are evaluated scaled, so K = 1e200 does not
     # overflow at degree 273 and agrees with K = 1e9
-    _, huge = loop_sector_test(ref_config(K=1e200), ref_plant(mu=0.73))
-    _, large = loop_sector_test(ref_config(K=1e9), ref_plant(mu=0.73))
+    _, huge = loop_sector_test(ref_loop(K=1e200, mu=0.73))
+    _, large = loop_sector_test(ref_loop(K=1e9, mu=0.73))
     assert huge.stable and large.stable
     assert huge.margin == pytest.approx(large.margin, abs=1e-9)
 
@@ -409,6 +408,6 @@ def test_huge_gain_solves_on_the_scaled_aberth_path():
 def test_residuals_of_large_roots_are_verified(mu):
     # a root near 810 at degree 2q + 1 makes |w|**k overflow; its residual
     # is then evaluated as P(w) / w**n, and must still be checked
-    _, report = loop_sector_test(ref_config(), ref_plant(mu=mu))
+    _, report = loop_sector_test(ref_loop(mu=mu))
     assert np.all(np.isfinite(report.residuals))
     assert np.max(report.residuals) <= 1e-8

@@ -46,16 +46,15 @@ def _bindings(targets):
 def test_tracer_counts_one_short_run_per_variant(tracing_module):
     for modname in {target[0] for target in tracing_module.TARGETS}:
         importlib.import_module(modname)
-    from fracadrc import control, experiments
+    from fracadrc import control
 
     before = _bindings(tracing_module.TARGETS)
     tracer = tracing_module.Tracer()
     try:
         tracer.install()
         for variant in control.AdrcVariant:
-            params = {**experiments.DEFAULT_PARAMS, "horizon": 0.05}
             control.run_closed_loop(
-                *experiments.make_loop({**params, "variant": variant}))
+                control.AdrcConfig(variant=variant, horizon=0.05))
     finally:
         tracer.uninstall()
 
