@@ -43,9 +43,10 @@ PARAM_KEYS = (*PARAM_HELP, "variant")
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number in exponent form (-1e6) is a value, not a flag
+        # a negative number in any form float reads (-1e6, -inf, -NaN) is
+        # a value, not a flag
         self._negative_number_matcher = re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
 
     # argparse exits with 2 on bad flags; this front end reserves 2 for the
     # unstable verdict, so usage errors map to 1 instead
@@ -147,11 +148,8 @@ def cmd_simulate(args) -> int:
     point = {**params, **{key: value for key, value in vars(args).items()
                           if key == "setpoint" or key.startswith("dist_")}}
     outdir = Path(args.output_dir) / "simulate"
-    data: dict = {}
-    files = trajectory_files(outdir, {}, data,
-                             [("trajectory.csv", point, point)])
+    files, [m] = trajectory_files(outdir, [("trajectory.csv", point)])
     write_manifest(outdir, point, files, command="simulate")
-    m = data["trajectory.csv"]  # the row metrics.csv would hold
     t_end = (cfg.samples() - 1) * cfg.Ts
     settle = (f"did not settle within 2% by t={t_end:.4g}s"
               if math.isnan(m["settle_2pct_s"])
@@ -179,8 +177,6 @@ def cmd_sweep(args) -> int:
     params, _ = resolve_params(args)
     if args.scales is not None and args.param is None and args.values is None:
         scales = _parse_float_list(args.scales, "scales")
-        if any(s <= 0.0 for s in scales):
-            raise ValueError(f"scales must be positive, got {scales}")
         entries = [gain_scale_entry(params, scale) for scale in scales]
         meta = {**params, "scales": scales}
     elif args.scales is None and None not in (args.param, args.values):
@@ -189,19 +185,19 @@ def cmd_sweep(args) -> int:
                              f"{args.param} runs only --values")
         values = _parse_float_list(args.values, "values")
         points = [{**params, args.param: value} for value in values]
-        entries = [(f"step_{args.param}_{point[args.param]:g}.csv", point,
-                    point) for point in points]
+        entries = [(f"step_{args.param}_{point[args.param]:g}.csv", point)
+                   for point in points]
         meta = {**params, "param": args.param, "values": values}
     else:
         raise ValueError("sweep takes either --scales, or --param with "
                          "--values, but not both")
-    names = [name for name, _, _ in entries]
+    names = [name for name, _ in entries]
     clashes = sorted({n for n in names if names.count(n) > 1})
     if clashes:  # values that would share a file
         raise ValueError(f"--{'scales' if args.scales else 'values'}: more "
                          f"than one value would write {', '.join(clashes)}")
     outdir = Path(args.output_dir) / "sweep"
-    files = trajectory_files(outdir, {}, {}, entries)
+    files, _ = trajectory_files(outdir, entries)
     write_manifest(outdir, meta, files, command="sweep")
     print(f"wrote {len(files)} trajectories under {outdir}")
     return 0
@@ -217,7 +213,7 @@ def cmd_curves(args) -> int:
         files = bode_files(outdir, params, grid)
         wrote = f"{len(files)} Bode tables under {outdir}"
     else:
-        files = mse_files(outdir, {}, grid, [("mse.csv", params)])
+        files, _ = mse_files(outdir, grid, [("mse.csv", params)])
         wrote = outdir / "mse.csv"
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),

@@ -142,9 +142,9 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant | None = None, *,
     DisturbanceSignal (None for no disturbance).  A sinusoid at or above
     the Nyquist frequency pi/Ts, or a step whose onset falls after the last
     sample time, raises ValueError before any step.  Raises
-    SimulationDiverged as soon as the output goes non-finite or beyond
-    DIVERGENCE_LIMIT.  A `plant` (the benchmark harness's call form) only
-    lends cfg its a_o, b_o and mu, at cfg's Ts; it is never stepped.
+    SimulationDiverged once |y| exceeds DIVERGENCE_LIMIT * max(1, |v_d|,
+    max |d|) or y is not finite.  A `plant` (the benchmark harness's call
+    form) only lends cfg its a_o, b_o and mu, at cfg's Ts; it is never stepped.
     """
     if plant is not None:
         if abs(plant.Ts - cfg.Ts) > 1e-15:
@@ -171,6 +171,8 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant | None = None, *,
                          f"sample time {float(t[-1])} s")
     darr = d.render(t)
     dview = memoryview(darr)
+    limit = min(DIVERGENCE_LIMIT * max(1.0, abs(v_d), float(max(
+        darr.max(), -darr.min()))), float(np.finfo(float).max))  # inf fails
 
     obs, plant = _observer(cfg), FracPlant(cfg.a_o, cfg.b_o, cfg.mu, cfg.Ts)
     # six separate columns, each written through a memoryview: a store of
@@ -198,7 +200,7 @@ def run_closed_loop(cfg: AdrcConfig, plant: FracPlant | None = None, *,
         y = plant_step(u, dview[k])
         # a NaN fails both comparisons: one test catches NaN, +-inf and
         # |y| beyond the limit
-        if not -DIVERGENCE_LIMIT <= y <= DIVERGENCE_LIMIT:
+        if not -limit <= y <= limit:
             raise SimulationDiverged(k, float(y))
         u_prev = u
     return Trajectory(t=t, v_d=vd, y=ya, u=ua, u0=u0a, z1=z1a, z2=z2a,

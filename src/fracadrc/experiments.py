@@ -9,7 +9,7 @@ metrics table, metrics.csv, computed from the results still in memory;
 `summarize` derives the same table from a manifest on disk.  Four
 writers, `trajectory_files`, `mse_files`, `bode_files` and
 `stability_file`, compute and write every artifact; the experiments and
-the CLI's commands only choose their parameters, a loop's AdrcConfig fields.
+the CLI's commands only choose their parameters, one dict per artifact.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from .stability import StabilityReport, loop_sector_test
 # CLI defaults: AdrcConfig's fields but the first, variant.
 LOOP_KEYS = tuple(field.name for field in fields(AdrcConfig))
 DEFAULT_PARAMS = {key: getattr(AdrcConfig, key) for key in LOOP_KEYS[1:]}
+TRAJECTORY_KEYS = {*LOOP_KEYS, "setpoint", "gain_scale",
+                   *("dist_" + f.name for f in fields(DisturbanceSignal))}
 
 # Estimation-error studies run at a higher observer bandwidth where the
 # integer/fractional contrast is pronounced.
@@ -72,68 +74,73 @@ def write_manifest(outdir: Path, parameters: dict, files: list[dict],
     return manifest
 
 
-def trajectory_files(outdir: Path, runs: dict, data: dict,
-                     entries: list[tuple[str, dict, dict]]) -> list[dict]:
-    """Write one trajectory CSV per (file name, loop point, manifest
-    parameters) entry under `outdir`; returns their manifest entries.
+def trajectory_files(outdir: Path, entries: list[tuple[str, dict]], *,
+                     runs: dict | None = None
+                     ) -> tuple[list[dict], list[dict]]:
+    """Write one trajectory CSV per (file name, parameters) entry under
+    `outdir`; returns their manifest entries and their metrics.
 
-    A loop point holds AdrcConfig's fields and may hold the reference
-    `setpoint` (default 1.0) and DisturbanceSignal's fields, prefixed
-    `dist_` (default: none).  It is keyed in `runs` (key -> (metrics, CSV
-    path)) by its sorted items.  A loop already there is copied from its
-    CSV; every other is built with its disturbance and simulated before
-    `outdir` is made, then written and recorded, and its Trajectory
-    dropped.  `data` gets each file's metrics, for metrics.csv.
-    """
-    keys = [tuple(sorted(point.items())) for _, point, _ in entries]
-    loops = {key: (AdrcConfig(**{k: v for k, v in point.items()
-                                 if k in LOOP_KEYS}),
-                   point.get("setpoint", 1.0),
-                   DisturbanceSignal(**{k.removeprefix("dist_"): v
-                                        for k, v in point.items()
-                                        if k.startswith("dist_")}))
-             for key, (_, point, _) in zip(keys, entries) if key not in runs}
+    The parameters, which the manifest records, are all a run reads:
+    AdrcConfig's fields, the reference `setpoint` (default 1.0),
+    DisturbanceSignal's fields prefixed `dist_` and `gain_scale`, run as
+    true plant gain b_o * gain_scale.  Any other key, or a scale not
+    positive and finite, raises ValueError before any run.  Each loop run
+    is keyed in `runs` (key -> (metrics, CSV path)) by its sorted items:
+    simulated once, before `outdir` is made, then copied from its CSV."""
+    runs, keys, loops = {} if runs is None else runs, [], {}
+    for point in [dict(parameters) for _, parameters in entries]:
+        scale = point.pop("gain_scale", 1.0)
+        if set(point) - TRAJECTORY_KEYS:
+            raise ValueError(f"unknown trajectory parameters "
+                             f"{sorted(set(point) - TRAJECTORY_KEYS)}")
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"gain_scale must be positive and finite, "
+                             f"got {scale}")
+        point["b_o"] = point.get("b_o", AdrcConfig.b_o) * scale
+        keys.append(tuple(sorted(point.items())))
+        loops[keys[-1]] = (AdrcConfig(**{k: v for k, v in point.items()
+                                         if k in LOOP_KEYS}),
+                           point.get("setpoint", 1.0),
+                           DisturbanceSignal(**{k.removeprefix("dist_"): v
+                                                for k, v in point.items()
+                                                if k.startswith("dist_")}))
     new = {key: run_closed_loop(cfg, v_d=v, d=d)
-           for key, (cfg, v, d) in loops.items()}
+           for key, (cfg, v, d) in loops.items() if key not in runs}
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
-    for key, (name, _, parameters) in zip(keys, entries):
+    for key, (name, parameters) in zip(keys, entries):
         if key in runs:
             shutil.copyfile(runs[key][1], outdir / name)
         else:
             traj = new.pop(key)
             traj.to_csv(outdir / name)
             runs[key] = _metrics("trajectory", traj), outdir / name
-        data[name] = runs[key][0]
         files.append({"path": name, "kind": "trajectory",
                       "parameters": parameters})
-    return files
+    return files, [runs[key][0] for key in keys]
 
 
-def gain_scale_entry(point: dict, scale: float) -> tuple[str, dict, dict]:
-    """Trajectory entry of loop `point` (with `variant`) run at the true
-    plant gain b_o * scale."""
+def gain_scale_entry(point: dict, scale: float) -> tuple[str, dict]:
+    """Trajectory entry of loop `point` (with `variant`) at gain scale
+    `scale`: trajectory_files runs the true plant gain b_o * scale."""
     return (f"step_{point['variant']}_scale_{scale:g}.csv",
-            {**point, "b_o": point["b_o"] * scale},
             {**point, "gain_scale": scale})
 
 
-def mse_files(outdir: Path, data: dict, grid: np.ndarray,
-              entries: list[tuple[str, dict]]) -> list[dict]:
+def mse_files(outdir: Path, grid: np.ndarray, entries: list[tuple[str, dict]]
+              ) -> tuple[list[dict], list[dict]]:
     """Write one estimation-error CSV per (file name, parameters) entry
     under `outdir`: both closed-form curves (e_io, e_ifio) at its a_o, mu
     and omega_o over `grid`, every one computed before `outdir` is made.
-    `data` gets each file's metrics, for metrics.csv.  Returns their
-    manifest entries."""
+    Returns their manifest entries and their metrics."""
     args = [(p["a_o"], p["mu"], p["omega_o"]) for _, p in entries]
     curves = [(mse_io(grid, *a), mse_ifio(grid, *a)) for a in args]
     outdir.mkdir(parents=True, exist_ok=True)
     files = []
     for (name, parameters), pair in zip(entries, curves):
         write_mse_csv(outdir / name, grid, *pair)
-        data[name] = _metrics("mse", pair)
         files.append({"path": name, "kind": "mse", "parameters": parameters})
-    return files
+    return files, [_metrics("mse", pair) for pair in curves]
 
 
 def bode_files(outdir: Path, params: dict, grid: np.ndarray) -> list[dict]:
@@ -181,17 +188,16 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results", *,
     params = DEFAULT_PARAMS
     runs = {} if runs is None else runs
     outdir = Path(output_dir) / exp_id
-    # artifact path -> its metrics, for metrics.csv
-    data: dict[str, dict] = {}
+    metrics: list[dict] = []  # of each trajectory/MSE file, for metrics.csv
 
     if exp_id == "fig4":
-        files = mse_files(outdir, data, log_grid(*MSE_GRID), [
+        files, metrics = mse_files(outdir, log_grid(*MSE_GRID), [
             ("mse.csv", {**MSE_BASE, **MSE_GRID_PARAMS})])
         manifest_params = dict(MSE_BASE)
 
     elif exp_id in MSE_FAMILIES:
         key, values = MSE_FAMILIES[exp_id]
-        files = mse_files(outdir, data, log_grid(*MSE_GRID), [
+        files, metrics = mse_files(outdir, log_grid(*MSE_GRID), [
             (f"mse_{key}_{v:g}.csv", {**MSE_BASE, key: v, **MSE_GRID_PARAMS})
             for v in values])
         manifest_params = {**MSE_BASE, "family": key, "values": list(values)}
@@ -206,21 +212,20 @@ def run_experiment(exp_id: str, output_dir: str | Path = "results", *,
         manifest_params = params
 
     elif exp_id == "fig11":
-        points = [{**params, "variant": v.value} for v in AdrcVariant]
-        files = trajectory_files(outdir, runs, data, [
-            (f"step_{point['variant']}.csv", point, point)
-            for point in points])
+        files, metrics = trajectory_files(outdir, [
+            (f"step_{v.value}.csv", {**params, "variant": v.value})
+            for v in AdrcVariant], runs=runs)
         manifest_params = params
 
     else:  # fig12-fig14
         point = {**params, "variant": LOOP_GAIN_VARIANTS[exp_id].value}
-        files = trajectory_files(outdir, runs, data, [
-            gain_scale_entry(point, scale) for scale in LOOP_GAIN_SCALES])
+        files, metrics = trajectory_files(outdir, [gain_scale_entry(
+            point, scale) for scale in LOOP_GAIN_SCALES], runs=runs)
         manifest_params = {**point, "scales": list(LOOP_GAIN_SCALES)}
 
     manifest = write_manifest(outdir, manifest_params, files,
                               experiment=exp_id)
-    _write_metrics(outdir, files, data)
+    _write_metrics(outdir, files, metrics)
     return manifest
 
 
@@ -283,13 +288,13 @@ def _metrics(kind: str, data) -> dict:
         return {"max_mse_ratio": float(np.max(e_io / e_ifio))}
 
 
-def _write_metrics(outdir: Path, files: list[dict], data: dict) -> list[dict]:
+def _write_metrics(outdir: Path, files: list[dict],
+                   metrics: list[dict]) -> list[dict]:
     """Metrics row of each trajectory/MSE entry of `files`, in order, from
-    `data` (path -> its metrics); written as <outdir>/metrics.csv.
-    Returns the rows."""
-    rows = [{"artifact": entry["path"], "kind": entry["kind"],
-             **data[entry["path"]]} for entry in files
-            if entry["kind"] in METRIC_KINDS]
+    its `metrics`; written as <outdir>/metrics.csv.  Returns the rows."""
+    rows = [{"artifact": entry["path"], "kind": entry["kind"], **row}
+            for entry, row in zip([entry for entry in files if entry["kind"]
+                                   in METRIC_KINDS], metrics, strict=True)]
     columns = ["artifact", "kind", "overshoot_pct", "settle_2pct_s",
                "ss_error", "rise_10_90_s", "comp_resid_rms", "max_mse_ratio"]
     numbers = {(i, c): row[c] for i, row in enumerate(rows) for c in columns
@@ -322,7 +327,7 @@ def summarize(manifest: dict | str | Path) -> list[dict]:
         outdir = Path(manifest).parent
         with open(manifest) as fh:
             manifest = json.load(fh)
-    data = {entry["path"]: _metrics(entry["kind"], _read_artifact(
-                outdir / entry["path"], entry["kind"]))
-            for entry in manifest["files"] if entry["kind"] in METRIC_KINDS}
-    return _write_metrics(outdir, manifest["files"], data)
+    metrics = [_metrics(entry["kind"], _read_artifact(outdir / entry["path"],
+                                                      entry["kind"]))
+               for entry in manifest["files"] if entry["kind"] in METRIC_KINDS]
+    return _write_metrics(outdir, manifest["files"], metrics)

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -170,6 +171,53 @@ def test_negative_value_in_exponent_form_follows_its_flag(tmp_path, argv):
         written.append({p.relative_to(out): p.read_bytes()
                         for p in out.rglob("*") if p.is_file()})
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--a_o", "-inf"), ("--b_o", "-Infinity"), ("--setpoint", "-nan"),
+    ("--dist-amplitude", "-inf"),
+])
+def test_negative_non_finite_value_follows_its_flag(tmp_path, capsys, flag,
+                                                    value):
+    # `--a_o -inf` is the value -inf, as `--a_o=-inf` is: both fail on the
+    # value with one error line, not on a missing argument
+    errors = []
+    for given in ([flag, value], [f"{flag}={value}"]):
+        assert run_cli("simulate", *given, "--output-dir", str(tmp_path)) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("fracadrc: error: ")
+    assert len(errors[0].splitlines()) == 1
+    assert not any(tmp_path.iterdir())
+
+
+README = (ROOT / "README.md").read_text()
+
+
+def test_readme_command_table_lists_each_commands_model_flags():
+    # every row of README's command table names the model flags that its
+    # command registers: "all nine", "none" or the flags themselves
+    section = README.split("## Command line")[1].split("\n## ")[0]
+    nine = set(re.search(r"all nine of `([^`]*)`", section.replace("\n", " "))
+               .group(1).replace("--", "").split())
+    assert nine == set(cli.PARAM_KEYS)
+    registered = {}
+    for command, key in _model_flags():
+        registered.setdefault(command, set()).add(key)
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("| `")]
+    listed = {}
+    for cells in rows:
+        command = cells[0].strip(" `").split()[0]
+        flags = cells[2].strip()
+        listed[command] = (nine if flags.startswith("all nine") else set()
+                           if flags == "none" else
+                           set(" ".join(re.findall(r"`([^`]*)`", flags))
+                               .split()))
+        assert listed[command] == registered.get(command, set()), command
+    [sub] = [action for action in cli._build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)]
+    assert set(listed) == set(sub.choices)
 
 
 @pytest.mark.parametrize("command, key", [
@@ -630,7 +678,7 @@ def test_sweep_rejects_values_sharing_a_file_name(tmp_path, capsys, argv,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--scales", "-1"], "scales must be positive"),
+    (["--scales", "-1"], "gain_scale must be positive and finite, got -1.0"),
     (["--param", "K", "--values", "100,-100"], "K must be positive"),
 ])
 def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
@@ -639,6 +687,24 @@ def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
                    "--output-dir", str(tmp_path)) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_sweep_gain_scale_is_checked_by_the_writer(tmp_path, capsys,
+                                                   monkeypatch, scale):
+    # trajectory_files checks every gain scale before any run; a NaN scale
+    # used to fail as "b_o must be nonzero and finite", naming a flag that
+    # was not given
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_closed_loop", no_run)
+    assert run_cli("sweep", "--scales", f"1,{scale}", "--horizon", "0.01",
+                   "--output-dir", str(tmp_path)) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "fracadrc: error: gain_scale must be positive and finite, "
+        f"got {float(scale)}"]
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("given", ["flag", "argfile"])
@@ -814,6 +880,34 @@ def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
         name = f"step_iadrc_scale_{scale}.csv"
         assert ((tmp_path / "sweep" / name).read_bytes()
                 == (reproduce_all_root / "fig12" / name).read_bytes())
+
+
+REPLAYED = {
+    "simulate": ["simulate", "--setpoint", "2.5", "--dist-kind", "step",
+                 "--dist-amplitude", "0.5", "--dist-onset", "0.02"],
+    "sweep": ["sweep", "--scales", "0.5,1,2", "--variant", "iadrc"],
+    "sweep-param": ["sweep", "--param", "mu", "--values", "0.7,0.9"],
+}
+
+
+@pytest.mark.parametrize("run", ["fig11", "fig12", "fig13", "fig14",
+                                 *REPLAYED])
+def test_trajectory_replays_from_its_manifest_parameters(reproduce_all_root,
+                                                         tmp_path, run):
+    # a manifest entry's parameters are all its run reads: the writer,
+    # given them alone, writes the same bytes
+    if run in REPLAYED:
+        assert run_cli(*REPLAYED[run], "--horizon", "0.05",
+                       "--output-dir", str(tmp_path / "cli")) == 0
+        outdir = tmp_path / "cli" / REPLAYED[run][0]
+    else:
+        outdir = reproduce_all_root / run
+    entries = [(entry["path"], entry["parameters"]) for entry in json.loads(
+        (outdir / "manifest.json").read_text())["files"]]
+    experiments.trajectory_files(tmp_path / "replay", entries)
+    for name, _ in entries:
+        assert ((tmp_path / "replay" / name).read_bytes()
+                == (outdir / name).read_bytes()), name
 
 
 @pytest.mark.parametrize("experiment, flags", [

@@ -278,6 +278,36 @@ def test_divergence_is_caught_at_the_first_output_out_of_bounds(monkeypatch,
             or (math.isnan(beyond) and math.isnan(exc.value.value)))
 
 
+@pytest.mark.parametrize("variant", list(AdrcVariant))
+@pytest.mark.parametrize("size, disturbed", [(2e9, False), (1e12, True)],
+                         ids=["reference-2e9", "reference-and-step-1e12"])
+def test_divergence_bound_scales_with_the_inputs(variant, size, disturbed):
+    # the loop is linear: inputs `size` times the unit ones run `size` times
+    # the unit run, past DIVERGENCE_LIMIT, and complete
+    cfg = ref_loop(variant=variant, horizon=0.2)
+    d = DisturbanceSignal("step", amplitude=1.0, onset=0.1)
+    unit = run_closed_loop(cfg, d=d if disturbed else None).y
+    big = run_closed_loop(cfg, v_d=size, d=DisturbanceSignal(
+        "step", amplitude=size, onset=0.1) if disturbed else None).y
+    assert np.max(np.abs(big)) > DIVERGENCE_LIMIT
+    np.testing.assert_allclose(big / size, unit, rtol=0,
+                               atol=1e-12 * np.max(np.abs(unit)))
+
+
+def test_scaled_divergence_bound_still_stops_a_diverging_run(monkeypatch):
+    # the bound scales with the reference, but a loop that diverges still
+    # stops; at a reference past 1e299 the bound is the largest float, so
+    # an infinite output stops the run at its own step
+    with pytest.raises(SimulationDiverged):
+        run_closed_loop(ref_loop(horizon=0.5, b_o=-1.0), v_d=2e9)
+    outputs = iter([1e300, float("inf")])
+    monkeypatch.setattr(FracPlant, "step",
+                        lambda self, u, d=0.0: next(outputs, 0.0))
+    with pytest.raises(SimulationDiverged) as exc:
+        run_closed_loop(ref_loop(horizon=0.01), v_d=1e300)
+    assert exc.value.step_index == 1
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -397,12 +427,11 @@ def test_runs_past_the_near_window_keep_their_bits():
 
 def scaled_runs(outdir, horizon: float, scales) -> list[Trajectory]:
     """The reference loop's runs with its true plant gain b_o scaled, as a
-    sweep makes them: gain scale s is the loop point with b_o * s."""
+    sweep makes them: gain scale s runs the loop with b_o * s."""
     point = {**REF, "horizon": horizon,
              "variant": AdrcConfig.variant.value}
-    trajectory_files(outdir, {}, {}, [
-        (f"scale_{s:g}.csv", {**point, "b_o": point["b_o"] * s}, point)
-        for s in scales])
+    trajectory_files(outdir, [(f"scale_{s:g}.csv", {**point, "gain_scale": s})
+                              for s in scales])
     return [Trajectory.from_csv(outdir / f"scale_{s:g}.csv") for s in scales]
 
 

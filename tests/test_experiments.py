@@ -125,28 +125,40 @@ def test_trajectory_files_simulates_each_loop_once(tmp_path, monkeypatch):
                         lambda *args, **kw: calls.append(args)
                         or run(*args, **kw))
     point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
-    runs, data = {}, {}
-    experiments.trajectory_files(tmp_path / "a", runs, data, [
-        ("x.csv", point, point),
-        ("y.csv", {**point, "b_o": point["b_o"] * 1.0}, point)])
-    experiments.trajectory_files(tmp_path / "b", runs, data,
-                                 [("z.csv", point, point)])
+    runs = {}
+    _, (x, y) = experiments.trajectory_files(tmp_path / "a", [
+        ("x.csv", point), ("y.csv", {**point, "gain_scale": 1.0})], runs=runs)
+    _, (z,) = experiments.trajectory_files(tmp_path / "b",
+                                           [("z.csv", point)], runs=runs)
     assert len(calls) == 1
     written = [tmp_path / "a" / "x.csv", tmp_path / "a" / "y.csv",
                tmp_path / "b" / "z.csv"]
     assert len({path.read_bytes() for path in written}) == 1
-    assert data["x.csv"] is data["y.csv"] is data["z.csv"]
+    assert x is y is z
+
+
+def test_trajectory_files_rejects_a_key_it_does_not_run(tmp_path,
+                                                       monkeypatch):
+    # a recorded key that no run reads would write the bytes of the entry
+    # without it: it fails, naming the key, before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_closed_loop", no_run)
+    point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
+    with pytest.raises(ValueError, match="'Kp'"):
+        experiments.trajectory_files(tmp_path / "out", [
+            ("a.csv", point), ("b.csv", {**point, "Kp": 3.0})])
+    assert not (tmp_path / "out").exists()
 
 
 def test_mse_files_computes_every_curve_before_making_a_directory(tmp_path):
     grid = log_grid(*experiments.MSE_GRID)
-    data = {}
     with pytest.raises(OverflowError, match="mse_io"):
-        experiments.mse_files(tmp_path / "out", data, grid, [
+        experiments.mse_files(tmp_path / "out", grid, [
             ("a.csv", experiments.MSE_BASE),
             ("b.csv", {**experiments.MSE_BASE, "a_o": 1e200})])
     assert not (tmp_path / "out").exists()
-    assert data == {}
 
 
 def test_unknown_experiment_rejected(tmp_path):
