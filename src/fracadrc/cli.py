@@ -102,10 +102,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="loop-gain or parameter grid of runs")
     _add_param_flags(p)
-    p.add_argument("--scales", help="comma list of plant-gain scales")
-    p.add_argument("--param", choices=["K", "omega_o", "mu", "a_o"],
-                   help="parameter to grid over")
-    p.add_argument("--values", help="comma list of values for --param")
+    p.add_argument("--param", required=True,
+                   choices=["K", "omega_o", "mu", "a_o", "gain_scale"],
+                   help="parameter to grid over; gain_scale scales b_o")
+    p.add_argument("--values", required=True, nargs="+", type=float,
+                   help="values of --param, one run each")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("bode", help="compensated-object Bode CSVs")
@@ -163,42 +164,24 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
-    try:
-        values = [float(x) for x in raw.split(",") if x.strip()]
-    except ValueError:
-        raise ValueError(f"invalid value for '{flag}': {raw!r}")
-    if not values:
-        raise ValueError(f"'{flag}' must list at least one value")
-    return values
-
-
 def cmd_sweep(args) -> int:
     params, _ = resolve_params(args)
-    if args.scales is not None and args.param is None and args.values is None:
-        scales = _parse_float_list(args.scales, "scales")
-        entries = [gain_scale_entry(params, scale) for scale in scales]
-        meta = {**params, "scales": scales}
-    elif args.scales is None and None not in (args.param, args.values):
-        if getattr(args, args.param) is not None:
-            raise ValueError(f"'{args.param}' is given, but --param "
-                             f"{args.param} runs only --values")
-        values = _parse_float_list(args.values, "values")
-        points = [{**params, args.param: value} for value in values]
-        entries = [(f"step_{args.param}_{point[args.param]:g}.csv", point)
-                   for point in points]
-        meta = {**params, "param": args.param, "values": values}
-    else:
-        raise ValueError("sweep takes either --scales, or --param with "
-                         "--values, but not both")
+    if getattr(args, args.param, None) is not None:
+        raise ValueError(f"'{args.param}' is given, but --param "
+                         f"{args.param} runs only --values")
+    entries = [gain_scale_entry(params, value) if args.param == "gain_scale"
+               else (f"step_{args.param}_{value:g}.csv",
+                     {**params, args.param: value})
+               for value in args.values]
     names = [name for name, _ in entries]
     clashes = sorted({n for n in names if names.count(n) > 1})
     if clashes:  # values that would share a file
-        raise ValueError(f"--{'scales' if args.scales else 'values'}: more "
-                         f"than one value would write {', '.join(clashes)}")
+        raise ValueError(f"--values: more than one value would write "
+                         f"{', '.join(clashes)}")
     outdir = Path(args.output_dir) / "sweep"
     files, _ = trajectory_files(outdir, entries)
-    write_manifest(outdir, meta, files, command="sweep")
+    write_manifest(outdir, {**params, "param": args.param,
+                            "values": args.values}, files, command="sweep")
     print(f"wrote {len(files)} trajectories under {outdir}")
     return 0
 

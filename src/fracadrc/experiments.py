@@ -83,8 +83,9 @@ def trajectory_files(outdir: Path, entries: list[tuple[str, dict]], *,
     The parameters, which the manifest records, are all a run reads:
     AdrcConfig's fields, the reference `setpoint` (default 1.0),
     DisturbanceSignal's fields prefixed `dist_` and `gain_scale`, run as
-    true plant gain b_o * gain_scale.  Any other key, or a scale not
-    positive and finite, raises ValueError before any run.  Each loop run
+    true plant gain b_o * gain_scale.  Any other key, a scale not positive
+    and finite, or a zero or non-finite b_o * gain_scale from a valid b_o
+    raises ValueError before any run.  Each loop run
     is keyed in `runs` (key -> (metrics, CSV path)) by its sorted items:
     simulated once, before `outdir` is made, then copied from its CSV."""
     runs, keys, loops = {} if runs is None else runs, [], {}
@@ -96,7 +97,11 @@ def trajectory_files(outdir: Path, entries: list[tuple[str, dict]], *,
         if not 0.0 < scale < np.inf:
             raise ValueError(f"gain_scale must be positive and finite, "
                              f"got {scale}")
-        point["b_o"] = point.get("b_o", AdrcConfig.b_o) * scale
+        b_o = point.get("b_o", AdrcConfig.b_o)
+        point["b_o"] = b_o * scale
+        if 0.0 < abs(b_o) < np.inf and not 0.0 < abs(point["b_o"]) < np.inf:
+            raise ValueError(f"b_o {b_o} times gain_scale {scale} is "
+                             f"{point['b_o']}, not a nonzero finite gain")
         keys.append(tuple(sorted(point.items())))
         loops[keys[-1]] = (AdrcConfig(**{k: v for k, v in point.items()
                                          if k in LOOP_KEYS}),

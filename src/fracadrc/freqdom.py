@@ -28,8 +28,12 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
         raise ValueError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
-    decades = math.log10(omega_max) - math.log10(omega_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
+    count = (math.log10(omega_max) - math.log10(omega_min)) * points_per_decade
+    if count > np.iinfo(np.intp).max // 8:  # bytes per float64
+        raise ValueError(f"omega_min {omega_min} to omega_max {omega_max} at "
+                         f"points_per_decade {points_per_decade} is "
+                         f"{count:.4g} points, more than one array holds")
+    n = max(2, int(round(count)) + 1)
     grid = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
     # 10 ** log10(x) can miss x by a rounding step
     grid[0], grid[-1] = omega_min, omega_max

@@ -116,8 +116,8 @@ def test_unreadable_argument_file_fails_with_one_error_line(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", [
-    ["simulate"], ["sweep", "--scales", "1"], ["bode"], ["mse"],
-    ["stability"],
+    ["simulate"], ["sweep", "--param", "gain_scale", "--values", "1"],
+    ["bode"], ["mse"], ["stability"],
 ])
 def test_argument_file_variant_is_checked_for_every_command(tmp_path, capsys,
                                                             command):
@@ -142,8 +142,9 @@ def _model_flags() -> list[tuple[str, str]]:
             for action in p._actions if action.dest in cli.PARAM_KEYS]
 
 
-FLAG_RUNS = {"simulate": [], "sweep": ["--scales", "1"], "bode": [],
-             "mse": [], "stability": []}
+FLAG_RUNS = {"simulate": [],
+             "sweep": ["--param", "gain_scale", "--values", "1"],
+             "bode": [], "mse": [], "stability": []}
 PERTURBED = {"a_o": "12", "b_o": "1.2", "b": "1.2", "mu": "0.9", "K": "200",
              "omega_o": "500", "Ts": "0.00025", "horizon": "0.02",
              "variant": "iadrc"}
@@ -154,8 +155,8 @@ PERTURBED = {"a_o": "12", "b_o": "1.2", "b": "1.2", "mu": "0.9", "K": "200",
                  id="simulate--a_o"),
     pytest.param(["simulate", "--horizon", "0.05", "--setpoint", "-2.5E-1"],
                  id="simulate--setpoint"),
-    pytest.param(["sweep", "--scales", "1", "--horizon", "0.05", "--b_o",
-                  "-1e-1"], id="sweep--b_o"),
+    pytest.param(["sweep", "--param", "gain_scale", "--values", "1",
+                  "--horizon", "0.05", "--b_o", "-1e-1"], id="sweep--b_o"),
     pytest.param(["stability", "--a_o", "-1e1"], id="stability--a_o"),
     pytest.param(["bode", "--a_o", "-.5e1"], id="bode--a_o"),
     pytest.param(["mse", "--a_o", "-1e1"], id="mse--a_o"),
@@ -335,7 +336,8 @@ def test_unwritable_output_fails_with_one_line(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("command", [
     pytest.param(["simulate"], id="simulate"),
-    pytest.param(["sweep", "--scales", "1"], id="sweep--scales"),
+    pytest.param(["sweep", "--param", "gain_scale", "--values", "1"],
+                 id="sweep--gain_scale"),
     pytest.param(["sweep", "--param", "K", "--values", "100"],
                  id="sweep--param"),
 ])
@@ -591,8 +593,12 @@ def test_sweep_over_gain_scales(tmp_path):
     assert (
         run_cli(
             "sweep",
-            "--scales",
-            "0.5,1,2",
+            "--param",
+            "gain_scale",
+            "--values",
+            "0.5",
+            "1",
+            "2",
             "--horizon",
             "0.1",
             "--output-dir",
@@ -615,7 +621,8 @@ def test_sweep_over_parameter_grid(tmp_path):
             "--param",
             "K",
             "--values",
-            "100,150",
+            "100",
+            "150",
             "--horizon",
             "0.1",
             "--output-dir",
@@ -630,8 +637,9 @@ def test_sweep_over_parameter_grid(tmp_path):
 def test_sweep_over_orders_writes_each_orders_solo_bytes(tmp_path):
     # the three orders share one process and its per-order weight tables;
     # each solo run starts from an empty table cache
-    assert run_cli("sweep", "--param", "mu", "--values", "0.7,0.8,0.9",
-                   "--horizon", "0.05", "--output-dir", str(tmp_path)) == 0
+    assert run_cli("sweep", "--param", "mu", "--values", "0.7", "0.8",
+                   "0.9", "--horizon", "0.05",
+                   "--output-dir", str(tmp_path)) == 0
     for mu in ("0.7", "0.8", "0.9"):
         fracops._near_weights.cache_clear()
         solo = tmp_path / f"solo-{mu}"
@@ -642,44 +650,48 @@ def test_sweep_over_orders_writes_each_orders_solo_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param([], "sweep takes either --scales, or --param with --values, "
-                 "but not both", id="none"),
-    # an empty list is the given mode with no value, not a missing mode
-    pytest.param(["--scales", ""], "'scales' must list at least one value",
-                 id="empty-scales"),
-    pytest.param(["--param", "K", "--values", ""],
-                 "'values' must list at least one value", id="empty-values"),
+    pytest.param([], "the following arguments are required: --param, "
+                 "--values", id="none"),
+    pytest.param(["--param", "K"], "the following arguments are required: "
+                 "--values", id="param-alone"),
+    pytest.param(["--values", "100"], "the following arguments are "
+                 "required: --param", id="values-alone"),
+    # an empty list is a missing value, not an empty grid
+    pytest.param(["--param", "K", "--values"],
+                 "argument --values: expected at least one argument",
+                 id="empty-values"),
+    # the values are separate arguments, not a comma list
+    pytest.param(["--param", "K", "--values", "100,150"],
+                 "argument --values: invalid float value: '100,150'",
+                 id="comma-list"),
 ])
 def test_sweep_requires_a_mode(tmp_path, capsys, argv, message):
+    # --param and --values are both required, and parsed by the parser
     assert run_cli("sweep", *argv, "--output-dir", str(tmp_path)) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"fracadrc: error: {message}"]
-    assert not (tmp_path / "sweep").exists()
-
-
-def test_sweep_rejects_both_modes(tmp_path, capsys):
-    # the modes are exclusive: a grid given with --scales is not dropped
-    assert run_cli("sweep", "--scales", "1", "--param", "K",
-                   "--values", "100,200", "--output-dir", str(tmp_path)) == 1
-    assert "not both" in capsys.readouterr().err
+    [error] = [line for line in capsys.readouterr().err.splitlines()
+               if "error:" in line]
+    assert error == f"fracadrc sweep: error: {message}"
     assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["--param", "K", "--values", "100,100.00001"], "step_K_100.csv"),
-    (["--scales", "1,1.0000001"], "step_ifadrc_scale_1.csv"),
+    (["--param", "K", "--values", "100", "100.00001"], "step_K_100.csv"),
+    (["--param", "gain_scale", "--values", "1", "1.0000001"],
+     "step_ifadrc_scale_1.csv"),
 ])
 def test_sweep_rejects_values_sharing_a_file_name(tmp_path, capsys, argv,
                                                   name):
     assert run_cli("sweep", *argv, "--horizon", "0.01",
                    "--output-dir", str(tmp_path)) == 1
-    assert name in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        f"fracadrc: error: --values: more than one value would write {name}"]
     assert not (tmp_path / "sweep").exists()
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--scales", "-1"], "gain_scale must be positive and finite, got -1.0"),
-    (["--param", "K", "--values", "100,-100"], "K must be positive"),
+    (["--param", "gain_scale", "--values", "-1"],
+     "gain_scale must be positive and finite, got -1.0"),
+    (["--param", "K", "--values", "100", "-100"], "K must be positive"),
 ])
 def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
                                                             argv, message):
@@ -689,21 +701,35 @@ def test_sweep_checks_every_value_before_making_a_directory(tmp_path, capsys,
     assert not (tmp_path / "sweep").exists()
 
 
-@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("scale, b_o, message", [
+    *(pytest.param(scale, "1", "gain_scale must be positive and finite, "
+                   f"got {float(scale)}", id=scale)
+      for scale in ("nan", "inf", "0", "-1")),
+    # each factor is valid, but the true gain b_o * gain_scale is not
+    pytest.param("1e308", "10", "b_o 10.0 times gain_scale 1e+308 is inf, "
+                 "not a nonzero finite gain", id="overflow"),
+    pytest.param("1e-300", "1e-30", "b_o 1e-30 times gain_scale 1e-300 is "
+                 "0.0, not a nonzero finite gain", id="underflow"),
+    # a b_o that is no gain itself is named alone
+    pytest.param("2", "0", "b_o must be nonzero and finite, got 0.0",
+                 id="zero-b_o"),
+])
 def test_sweep_gain_scale_is_checked_by_the_writer(tmp_path, capsys,
-                                                   monkeypatch, scale):
-    # trajectory_files checks every gain scale before any run; a NaN scale
-    # used to fail as "b_o must be nonzero and finite", naming a flag that
+                                                   monkeypatch, scale, b_o,
+                                                   message):
+    # trajectory_files checks every gain scale, and the true gain it makes,
+    # before any run; a NaN scale, or one whose product with b_o overflows,
+    # used to fail as "b_o must be nonzero and finite", naming a b_o that
     # was not given
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(experiments, "run_closed_loop", no_run)
-    assert run_cli("sweep", "--scales", f"1,{scale}", "--horizon", "0.01",
+    assert run_cli("sweep", "--param", "gain_scale", "--values", "1", scale,
+                   "--b_o", b_o, "--horizon", "0.01",
                    "--output-dir", str(tmp_path)) == 1
     assert capsys.readouterr().err.splitlines() == [
-        "fracadrc: error: gain_scale must be positive and finite, "
-        f"got {float(scale)}"]
+        f"fracadrc: error: {message}"]
     assert not any(tmp_path.iterdir())
 
 
@@ -715,16 +741,45 @@ def test_sweep_rejects_a_value_of_the_swept_parameter(tmp_path, capsys,
     args.write_text("--K 300\n")
     flags = ["--K", "300"] if given == "flag" else [f"@{args}"]
     out = tmp_path / "out"
-    assert run_cli("sweep", "--param", "K", "--values", "100,150", *flags,
+    assert run_cli("sweep", "--param", "K", "--values", "100", "150", *flags,
                    "--horizon", "0.01", "--output-dir", str(out)) == 1
     assert capsys.readouterr().err.splitlines() == [
         "fracadrc: error: 'K' is given, but --param K runs only --values"]
     assert not out.exists()
 
 
+def test_sweep_values_in_negative_form_are_values(tmp_path):
+    # `--values -1 -2.5e0` are two values, not flags
+    assert run_cli("sweep", "--param", "a_o", "--values", "-1", "-2.5e0",
+                   "--horizon", "0.01", "--output-dir", str(tmp_path)) == 0
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    assert manifest["parameters"]["values"] == [-1.0, -2.5]
+    assert [entry["path"] for entry in manifest["files"]] == [
+        "step_a_o_-1.csv", "step_a_o_-2.5.csv"]
+
+
+def test_sweep_reads_its_grid_from_an_argument_file(tmp_path):
+    # a file's values may span lines; both write into one directory, since
+    # manifest.json records it
+    args = tmp_path / "grid.args"
+    args.write_text("--param gain_scale  # of b_o\n--values 0.5 1\n2\n")
+    out = tmp_path / "out"
+    written = []
+    for given in (["--param", "gain_scale", "--values", "0.5", "1", "2"],
+                  [f"@{args}"]):
+        assert run_cli("sweep", *given, "--horizon", "0.05",
+                       "--output-dir", str(out)) == 0
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    assert written[0] == written[1]
+    assert sorted(path.name for path in written[0]) == [
+        "manifest.json", "step_ifadrc_scale_0.5.csv",
+        "step_ifadrc_scale_1.csv", "step_ifadrc_scale_2.csv"]
+
+
 def test_sweep_that_diverges_writes_nothing(tmp_path, capsys):
     # mu = 0.6 diverges after mu = 0.8 has run; neither is written
-    assert run_cli("sweep", "--param", "mu", "--values", "0.8,0.6",
+    assert run_cli("sweep", "--param", "mu", "--values", "0.8", "0.6",
                    "--variant", "fadrc", "--horizon", "0.1",
                    "--output-dir", str(tmp_path)) == 3
     assert "simulation diverged" in capsys.readouterr().err
@@ -734,6 +789,25 @@ def test_sweep_that_diverges_writes_nothing(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # bode / mse
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, count", [
+    pytest.param(["mse", "--points-per-decade", "1000000000000000000"],
+                 "5e+18", id="mse"),
+    pytest.param(["bode", "--omega-max", "1e300",
+                  "--points-per-decade", "100000000000000000"], "3.01e+19",
+                 id="bode"),
+])
+def test_grid_larger_than_one_array_names_its_flags(tmp_path, capsys, argv,
+                                                    count):
+    # the grid is refused before it is allocated, and the message names its
+    # flags, not numpy's size limit
+    assert run_cli(*argv, "--output-dir", str(tmp_path)) == 1
+    [error] = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(r"fracadrc: error: omega_min \S+ to omega_max \S+ at "
+                        rf"points_per_decade {argv[-1]} is {re.escape(count)} "
+                        r"points, more than one array holds", error)
+    assert not any(tmp_path.iterdir())
 
 
 def test_bode_writes_both_curves(tmp_path):
@@ -874,7 +948,8 @@ def test_reproduce_all_is_byte_identical_to_reference(reproduce_all_root):
 def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
                                                   tmp_path):
     # both run a gain scale s as the loop with true plant gain b_o * s
-    assert run_cli("sweep", "--scales", "0.5,1,2", "--variant", "iadrc",
+    assert run_cli("sweep", "--param", "gain_scale", "--values", "0.5", "1",
+                   "2", "--variant", "iadrc",
                    "--output-dir", str(tmp_path)) == 0
     for scale in ("0.5", "1", "2"):
         name = f"step_iadrc_scale_{scale}.csv"
@@ -885,8 +960,9 @@ def test_sweep_over_gain_scales_matches_reproduce(reproduce_all_root,
 REPLAYED = {
     "simulate": ["simulate", "--setpoint", "2.5", "--dist-kind", "step",
                  "--dist-amplitude", "0.5", "--dist-onset", "0.02"],
-    "sweep": ["sweep", "--scales", "0.5,1,2", "--variant", "iadrc"],
-    "sweep-param": ["sweep", "--param", "mu", "--values", "0.7,0.9"],
+    "sweep": ["sweep", "--param", "gain_scale", "--values", "0.5", "1", "2",
+              "--variant", "iadrc"],
+    "sweep-param": ["sweep", "--param", "mu", "--values", "0.7", "0.9"],
 }
 
 
@@ -941,8 +1017,8 @@ def test_reproduce_frozen_experiment_rejects_model_flags(tmp_path, capsys,
     pytest.param(["stability"], 0, id="stability-0"),
     pytest.param(["bode"], 0, id="bode-0"),
     pytest.param(["mse"], 0, id="mse-0"),
-    pytest.param(["sweep", "--scales", "0.5,1", "--horizon", "0.01"], 2,
-                 id="sweep-2"),
+    pytest.param(["sweep", "--param", "gain_scale", "--values", "0.5", "1",
+                  "--horizon", "0.01"], 2, id="sweep-2"),
 ])
 def test_reproduce_builds_no_loop_it_does_not_run(tmp_path, monkeypatch,
                                                   argv, plants):
@@ -988,8 +1064,9 @@ for argv in (["stability"], ["simulate", *short], ["bode"], ["mse"],
               "--dist-onset", "0.02", *short],
              ["simulate", "--dist-kind", "sinusoid", "--dist-amplitude", "0.5",
               "--dist-frequency", "50", *short],
-             ["sweep", "--scales", "0.5,1,2", *short],
-             ["sweep", "--param", "K", "--values", "100,150", *short]):
+             ["sweep", "--param", "gain_scale", "--values", "0.5", "1", "2",
+              *short],
+             ["sweep", "--param", "K", "--values", "100", "150", *short]):
     assert fracadrc.cli.main(argv) == 0, argv
 """
 

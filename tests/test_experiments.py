@@ -152,6 +152,23 @@ def test_trajectory_files_rejects_a_key_it_does_not_run(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_trajectory_files_rejects_a_scaled_gain_that_is_no_gain(
+        tmp_path, monkeypatch):
+    # a valid b_o and a valid scale whose product overflows: the error
+    # names both and the product, before any run
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run_closed_loop", no_run)
+    point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
+    with pytest.raises(ValueError, match=r"^b_o 10\.0 times gain_scale "
+                       r"1e\+308 is inf, not a nonzero finite gain$"):
+        experiments.trajectory_files(tmp_path / "out", [
+            ("a.csv", point),
+            ("b.csv", {**point, "b_o": 10.0, "gain_scale": 1e308})])
+    assert not (tmp_path / "out").exists()
+
+
 def test_mse_files_computes_every_curve_before_making_a_directory(tmp_path):
     grid = log_grid(*experiments.MSE_GRID)
     with pytest.raises(OverflowError, match="mse_io"):

@@ -169,6 +169,15 @@ def test_log_grid_ends_exactly_at_its_bounds():
     assert log_grid(1.0, 50.0, 1)[-1] == 50.0
 
 
+def test_log_grid_larger_than_one_array_is_refused():
+    # AdrcConfig.samples()'s rule: no more points than one float64 array
+    # holds, checked before anything is allocated
+    too_many = np.iinfo(np.intp).max // 8 + 1
+    with pytest.raises(ValueError, match=r"^omega_min 1\.0 to omega_max "
+                       rf"10\.0 at points_per_decade {too_many} is "):
+        log_grid(1.0, 10.0, too_many)
+
+
 def test_log_grid_validation():
     with pytest.raises(ValueError):
         log_grid(10.0, 1.0)
