@@ -43,10 +43,12 @@ PARAM_KEYS = (*PARAM_HELP, "variant")
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number in any form float reads (-1e6, -inf, -NaN) is
-        # a value, not a flag
+        # a negative number in any form float reads (-1e6, -inf, -NaN, -1_0)
+        # is a value, not a flag
+        digits = r"\d(_?\d)*"
         self._negative_number_matcher = re.compile(
-            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.I)
+            rf"^-(({digits}\.?({digits})?|\.{digits})(e[-+]?{digits})?"
+            r"|inf(inity)?|nan)$", re.I)
 
     # argparse exits with 2 on bad flags; this front end reserves 2 for the
     # unstable verdict, so usage errors map to 1 instead

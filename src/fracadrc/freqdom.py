@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -28,11 +29,17 @@ def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
         raise ValueError("need 0 < omega_min < omega_max")
     if points_per_decade < 1:
         raise ValueError("points_per_decade must be >= 1")
-    count = (math.log10(omega_max) - math.log10(omega_min)) * points_per_decade
+    # a points_per_decade beyond the float range is refused before it is
+    # converted to one, and the message then leaves out the point count
+    decades = math.log10(omega_max) - math.log10(omega_min)
+    count = (decades * points_per_decade
+             if points_per_decade <= sys.float_info.max else math.inf)
     if count > np.iinfo(np.intp).max // 8:  # bytes per float64
+        size = (f"{count:.4g} points, more" if count < math.inf
+                else "more points")
         raise ValueError(f"omega_min {omega_min} to omega_max {omega_max} at "
-                         f"points_per_decade {points_per_decade} is "
-                         f"{count:.4g} points, more than one array holds")
+                         f"points_per_decade {points_per_decade} is {size} "
+                         f"than one array holds")
     n = max(2, int(round(count)) + 1)
     grid = np.logspace(math.log10(omega_min), math.log10(omega_max), n)
     # 10 ** log10(x) can miss x by a rounding step

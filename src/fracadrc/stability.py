@@ -254,6 +254,13 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
     roots = _aberth_roots(c) if poly.degree >= ABERTH_MIN_DEGREE else None
     certified = roots is not None
     if not certified:
+        with np.errstate(all="ignore"):  # np.roots divides by c[-1]
+            monic = c[:-1] / c[-1]
+        if not np.all(np.isfinite(monic)):
+            raise OverflowError(
+                f"a coefficient of the degree-{poly.degree} characteristic "
+                f"polynomial divided by its leading coefficient {c[-1]} is "
+                f"not finite")
         roots = np.roots(c[::-1]).astype(complex)
     with np.errstate(all="ignore"):  # a non-finite step is not taken
         if certified:  # Aberth refuses c_0 = 0: the sparse pass ends at c_0

@@ -154,19 +154,28 @@ def test_trajectory_files_rejects_a_key_it_does_not_run(tmp_path,
 
 def test_trajectory_files_rejects_a_scaled_gain_that_is_no_gain(
         tmp_path, monkeypatch):
-    # a valid b_o and a valid scale whose product overflows: the error
-    # names both and the product, before any run
+    # a scale that is not positive and finite names itself; a valid b_o and
+    # a valid scale whose product over- or underflows: the error names both
+    # and the product; each before any run
     def no_run(*args, **kwargs):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(experiments, "run_closed_loop", no_run)
     point = {**DEFAULT_PARAMS, "horizon": 0.01, "variant": "iadrc"}
-    with pytest.raises(ValueError, match=r"^b_o 10\.0 times gain_scale "
-                       r"1e\+308 is inf, not a nonzero finite gain$"):
-        experiments.trajectory_files(tmp_path / "out", [
-            ("a.csv", point),
-            ("b.csv", {**point, "b_o": 10.0, "gain_scale": 1e308})])
-    assert not (tmp_path / "out").exists()
+    for b_o, scale, message in [
+        *((1.0, scale, rf"^gain_scale must be positive and finite, "
+                       rf"got {scale}$")
+          for scale in (float("nan"), float("inf"), 0.0, -1.0)),
+        (10.0, 1e308, r"^b_o 10\.0 times gain_scale 1e\+308 is inf, not a "
+                      r"nonzero finite gain$"),
+        (1e-30, 1e-300, r"^b_o 1e-30 times gain_scale 1e-300 is 0\.0, not a "
+                        r"nonzero finite gain$"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            experiments.trajectory_files(tmp_path / "out", [
+                ("a.csv", point),
+                ("b.csv", {**point, "b_o": b_o, "gain_scale": scale})])
+        assert not (tmp_path / "out").exists()
 
 
 def test_mse_files_computes_every_curve_before_making_a_directory(tmp_path):
