@@ -57,6 +57,19 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def _read_args_from_files(self, arg_strings):
+        # argparse names a file it cannot open; this names one whose bytes
+        # do not decode
+        args = []
+        for arg in arg_strings:
+            try:
+                args += super()._read_args_from_files([arg])
+            except UnicodeDecodeError as exc:
+                self.error(f"argument file {arg[1:]!r} is not {exc.encoding} "
+                           f"text (byte {exc.object[exc.start]:#04x} at "
+                           f"position {exc.start})")
+        return args
+
     def convert_arg_line_to_args(self, arg_line):
         # an argument file line: any number of arguments, then a comment
         return arg_line.split("#", 1)[0].split()
@@ -194,12 +207,16 @@ def cmd_curves(args) -> int:
     params, _ = resolve_params(args)
     grid = log_grid(args.omega_min, args.omega_max, args.points_per_decade)
     outdir = Path(args.output_dir) / args.command
-    if args.command == "bode":
-        files = bode_files(outdir, params, grid)
-        wrote = f"{len(files)} Bode tables under {outdir}"
-    else:
-        files, _ = mse_files(outdir, grid, [("mse.csv", params)])
-        wrote = outdir / "mse.csv"
+    try:
+        if args.command == "bode":
+            files = bode_files(outdir, params, grid)
+            wrote = f"{len(files)} Bode tables under {outdir}"
+        else:
+            files, _ = mse_files(outdir, grid, [("mse.csv", params)])
+            wrote = outdir / "mse.csv"
+    except ArithmeticError as exc:  # a curve overflowed: name its model
+        model = ", ".join(f"{key}={value:g}" for key, value in params.items())
+        raise type(exc)(f"{exc} for {model}") from None
     write_manifest(outdir, {**params, "omega_min": float(grid[0]),
                             "omega_max": float(grid[-1]),
                             "points_per_decade": args.points_per_decade},

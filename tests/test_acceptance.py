@@ -14,7 +14,6 @@ import time
 from functools import partial
 
 import numpy as np
-import pytest
 
 from fracadrc import (
     AdrcVariant,
@@ -37,7 +36,7 @@ from fracadrc import (
     step_metrics,
 )
 
-from helpers import REF, delta, oustaloup, ref_loop
+from helpers import REF, delta, frac_sin, ref_loop
 
 
 def _verdict(num: int, name: str, ok: bool, detail: str) -> None:
@@ -233,7 +232,6 @@ def test_criterion_6_gain_robustness():
 
 
 def test_criterion_7_kernel_oracles():
-    pytest.importorskip("scipy")
     t0 = time.perf_counter()
     # (a) half derivative of the ramp at t = 1
     Ts = 1.0 / 8000.0
@@ -241,15 +239,14 @@ def test_criterion_7_kernel_oracles():
     ramp_err = abs(
         gl_differintegral(t, 0.5, Ts)[-1] - 2.0 / math.sqrt(math.pi)
     )
-    # (b) convolution kernel vs rational ladder on d^0.6 sin(t)
+    # (b) convolution kernel vs the exact series for D^0.6 sin(t)
     tt = np.arange(0, 10.0, Ts)
-    x = np.sin(tt)
-    via_gl = gl_differintegral(x, 0.6, Ts)
-    via_filter = oustaloup(0.6).filter_signal(x, Ts)
+    exact = frac_sin(tt, 0.6)
     sel = tt >= 2.0
-    cross_rms = float(
-        np.sqrt(np.mean((via_gl[sel] - via_filter[sel]) ** 2))
-        / np.sqrt(np.mean(via_gl[sel] ** 2))
+    sine_rms = float(
+        np.sqrt(np.mean((gl_differintegral(np.sin(tt), 0.6, Ts)[sel]
+                         - exact[sel]) ** 2))
+        / np.sqrt(np.mean(exact[sel] ** 2))
     )
     # (c) improved observer collapses onto the integer observer at mu = 1
     rng = np.random.default_rng(7)
@@ -264,16 +261,16 @@ def test_criterion_7_kernel_oracles():
     elapsed = time.perf_counter() - t0
     ok = (
         ramp_err < 1e-3
-        and cross_rms < 0.02
+        and sine_rms < 1e-4
         and collapse_rms < 1e-6
         and elapsed < 2.0
     )
     _verdict(
         7,
-        "kernel oracles: ramp value, dual realizations, integer collapse",
+        "kernel oracles: ramp value, exact D^0.6 sin, integer collapse",
         ok,
-        f"ramp err {ramp_err:.2e} (tol 1e-3), cross rms {cross_rms:.4f} "
-        f"(tol 0.02), collapse rms {collapse_rms:.2e} (tol 1e-6), "
+        f"ramp err {ramp_err:.2e} (tol 1e-3), sine rms {sine_rms:.2e} "
+        f"(tol 1e-4), collapse rms {collapse_rms:.2e} (tol 1e-6), "
         f"{elapsed:.2f}s (budget 2s)",
     )
 

@@ -131,7 +131,8 @@ REJECTED = [
     reject("file-missing", "stability @model.args",
            ERR + r".*No such file or directory: 'model\.args'$"),
     reject("file-not-utf-8", "stability @model.args",
-           ERR + r"'utf-8' codec can't decode byte 0xff",
+           ERR + r"argument file 'model\.args' is not utf-8 text "
+           r"\(byte 0xff at position 11\)$",
            b"--K 300  # \xff\n"),
     # bode, mse and stability read no variant, so take no --variant
     *(reject(f"file-{command.split()[0]}--variant-{variant}",
@@ -288,8 +289,11 @@ test_overflow_is_one_error_line_and_writes_nothing = rejection_test([
           ("stability", "stability --omega_o 1e200", "omega_o"),
           ("stability-coefficient", "stability --K 1e300 --omega_o 1e10",
            "characteristic polynomial"),
-          ("mse", "mse --a_o 1e200 --points-per-decade 1", "mse_io"),
-          ("bode", "bode --omega_o 1e200", r"omega = 0\.1 rad/s"),
+          # the curves name the model they were computed for
+          ("mse", "mse --a_o 1e200 --points-per-decade 1",
+           r"mse_io .* for a_o=1e\+200, mu=0\.8, omega_o=400$"),
+          ("bode", "bode --omega_o 1e200",
+           r"omega = 0\.1 rad/s .* omega_o=1e\+200$"),
           ("bode-omega-min", "bode --omega-min 1e-320",
            r"omega = 9\.99989e-321 rad/s"),
           # more samples than one array holds
