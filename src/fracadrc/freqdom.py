@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .artifacts import write_csv
+from .observers import bandwidth_gains
 
 
 def log_grid(omega_min: float = 0.1, omega_max: float = 1e5,
@@ -83,7 +84,7 @@ def _mse_terms(omega, mu: float, omega_o: float):
     w = np.asarray(omega, dtype=float)
     if np.any(w < 0.0):
         raise ValueError("omega must be >= 0")
-    return (w, 2.0 * omega_o, omega_o * omega_o, math.cos(0.5 * math.pi * mu),
+    return (w, *bandwidth_gains(omega_o), math.cos(0.5 * math.pi * mu),
             math.sin(0.5 * math.pi * mu), w ** mu)
 
 

@@ -47,6 +47,8 @@ class _Eso:
     def __init__(self, omega_o: float, b: float, Ts: float):
         if not (math.isfinite(Ts) and Ts > 0.0):
             raise ValueError(f"Ts must be positive and finite, got {Ts}")
+        if not math.isfinite(b):  # 0 is legal: only the control law divides
+            raise ValueError(f"b must be finite, got {b}")
         self.beta1, self.beta2 = bandwidth_gains(omega_o)
         self.b = float(b)
         self.Ts = float(Ts)

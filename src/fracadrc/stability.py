@@ -121,27 +121,6 @@ def _normalized_residuals(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return res
 
 
-def _sparse_horner(c: np.ndarray,
-                   z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(z) and P'(z) by Horner's rule over the nonzero terms of c only,
-    down to c_0, which must be nonzero: each gap between two powers is
-    bridged by z**gap, formed by binary powering."""
-    powers = np.flatnonzero(c)[::-1].tolist()
-    value = np.full(z.shape, c[powers[0]], dtype=complex)
-    z_slope = powers[0] * value  # z * P'(z): Horner over k * c_k
-    for hi, lo in zip(powers[:-1], powers[1:]):
-        gap, square, z_gap = hi - lo, z, None
-        while gap:
-            if gap & 1:
-                z_gap = square if z_gap is None else z_gap * square
-            gap >>= 1
-            if gap:
-                square = square * square
-        value = value * z_gap + c[lo]
-        z_slope = z_slope * z_gap + lo * c[lo]
-    return value, z_slope / z
-
-
 def _scaled_terms(z: np.ndarray, powers: np.ndarray,
                   log_c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The terms c_k * z**k of the nonzero powers, one row per z, each row
@@ -233,10 +212,9 @@ def _aberth_roots(c: np.ndarray) -> np.ndarray | None:
 def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
     """All complex roots and their normalized residuals, same order.  The
     roots come from the Aberth iteration at degree >= ABERTH_MIN_DEGREE
-    when it certifies them, else from the eigenvalues of the balanced
-    companion matrix; then one Newton polish per root (from the nonzero
-    terms for Aberth roots, from every coefficient for eigenvalues),
-    verified against a residual bound.
+    when it certifies them, and are final; else from the eigenvalues of
+    the balanced companion matrix, each given one Newton polish.  Every
+    residual is verified against a bound.
 
     Raises OverflowError with the degree if a coefficient is not finite,
     and ArithmeticError with the degree and the largest residual if any
@@ -252,8 +230,9 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
         raise OverflowError(f"a coefficient of the degree-{poly.degree} "
                             f"characteristic polynomial is not finite")
     roots = _aberth_roots(c) if poly.degree >= ABERTH_MIN_DEGREE else None
-    certified = roots is not None
-    if not certified:
+    if roots is not None:  # certified by disjoint inclusion disks: final
+        residuals = _normalized_residuals(c, roots)
+    else:
         with np.errstate(all="ignore"):  # np.roots divides by c[-1]
             monic = c[:-1] / c[-1]
         if not np.all(np.isfinite(monic)):
@@ -262,20 +241,17 @@ def poly_roots(poly: CharPoly) -> tuple[np.ndarray, np.ndarray]:
                 f"polynomial divided by its leading coefficient {c[-1]} is "
                 f"not finite")
         roots = np.roots(c[::-1]).astype(complex)
-    with np.errstate(all="ignore"):  # a non-finite step is not taken
-        if certified:  # Aberth refuses c_0 = 0: the sparse pass ends at c_0
-            pv, dv = _sparse_horner(c, roots)
-        else:
+        with np.errstate(all="ignore"):  # a non-finite step is not taken
             pv = npoly.polyval(roots, c)
             dv = npoly.polyval(roots, npoly.polyder(c))
-        safe = dv != 0
-        polished = np.where(safe, roots - pv / np.where(safe, dv, 1.0),
-                            roots)
-    r_raw = _normalized_residuals(c, roots)
-    r_pol = _normalized_residuals(c, polished)
-    take = r_pol <= r_raw
-    roots = np.where(take, polished, roots)
-    residuals = np.where(take, r_pol, r_raw)
+            safe = dv != 0
+            polished = np.where(safe, roots - pv / np.where(safe, dv, 1.0),
+                                roots)
+        r_raw = _normalized_residuals(c, roots)
+        r_pol = _normalized_residuals(c, polished)
+        take = r_pol <= r_raw  # each root keeps the better of the two
+        roots = np.where(take, polished, roots)
+        residuals = np.where(take, r_pol, r_raw)
     if not np.all(residuals <= RESIDUAL_TOL):  # a NaN fails too
         raise ArithmeticError(
             f"root solve of the degree-{poly.degree} characteristic "

@@ -292,6 +292,10 @@ test_overflow_is_one_error_line_and_writes_nothing = rejection_test([
           # the curves name the model they were computed for
           ("mse", "mse --a_o 1e200 --points-per-decade 1",
            r"mse_io .* for a_o=1e\+200, mu=0\.8, omega_o=400$"),
+          # the closed forms take their gains from bandwidth_gains
+          ("mse-omega_o", "mse --omega_o 1e200",
+           r"omega_o must be positive with a finite, nonzero square, "
+           r"got 1e\+200$"),
           ("bode", "bode --omega_o 1e200",
            r"omega = 0\.1 rad/s .* omega_o=1e\+200$"),
           ("bode-omega-min", "bode --omega-min 1e-320",
@@ -498,7 +502,7 @@ def test_stability_writes_the_report_of_reproduce_fig10(tmp_path):
             == (tmp_path / "fig10" / "stability_report.json").read_bytes())
 
 
-# degree 273 and 287: the Aberth root source and its sparse Newton polish
+# degree 273 and 287: the certified Aberth root source
 @pytest.mark.parametrize("mu, degree", [(0.8, 14), (0.73, 273), (0.87, 287)],
                          ids=["degree-14", "degree-273", "degree-287"])
 def test_stability_report_file(tmp_path, mu, degree):

@@ -24,6 +24,8 @@ from fracadrc import (
     bandwidth_gains,
     gl_differintegral,
     loop_symbol,
+    mse_ifio,
+    mse_io,
     reconstruct_disturbances,
     run_closed_loop,
 )
@@ -134,6 +136,12 @@ def test_config_validation():
     pytest.param(lambda v: Ieso(v, 1.0, REF["Ts"]), id="Ieso.omega_o"),
     pytest.param(lambda v: Feso(v, 1.0, 0.8, REF["Ts"]), id="Feso.omega_o"),
     pytest.param(lambda v: Ifeso(v, 1.0, 0.8, REF["Ts"]), id="Ifeso.omega_o"),
+    pytest.param(lambda v: Ieso(400.0, v, REF["Ts"]), id="Ieso.b"),
+    pytest.param(lambda v: Feso(400.0, v, 0.8, REF["Ts"]), id="Feso.b"),
+    pytest.param(lambda v: Ifeso(400.0, v, 0.8, REF["Ts"]), id="Ifeso.b"),
+    pytest.param(lambda v: mse_io(1.0, 10.0, 0.8, v), id="mse_io.omega_o"),
+    pytest.param(lambda v: mse_ifio(1.0, 10.0, 0.8, v),
+                 id="mse_ifio.omega_o"),
     pytest.param(lambda v: DisturbanceSignal.step(v),
                  id="DisturbanceSignal.amplitude"),
     pytest.param(lambda v: DisturbanceSignal.sinusoid(1.0, v),

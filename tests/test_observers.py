@@ -265,17 +265,3 @@ def test_improved_observer_collapses_to_integer_at_order_one():
         ie.step(u, y)
         worst = max(worst, abs(ife.z1 - ie.z1), abs(ife.q_hat))
     assert worst < 1e-6
-
-
-def test_improved_observer_loop_form_also_collapses_at_order_one():
-    # The same collapse through `loop_step`, the name run_closed_loop calls.
-    rng = np.random.default_rng(18)
-    drive = rng.normal(size=(2000, 2))
-    ife = Ifeso(400.0, b=1.0, mu=1.0, Ts=REF_TS)
-    ie = Ieso(400.0, b=1.0, Ts=REF_TS)
-    worst = 0.0
-    for u, y in drive:
-        ife.loop_step(u, y)
-        ie.loop_step(u, y)
-        worst = max(worst, abs(ife.z1 - ie.z1), abs(ife.q_hat))
-    assert worst < 1e-6
